@@ -240,6 +240,8 @@ def _shift_levels(levels: np.ndarray, d: Tuple[int, ...]) -> np.ndarray:
     dst = []
     for axis, off in enumerate(d):
         n = levels.shape[axis]
+        if abs(off) >= n:
+            return out  # every x + d lies outside the grid
         if off == 0:
             src.append(slice(None))
             dst.append(slice(None))

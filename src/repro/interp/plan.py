@@ -7,7 +7,7 @@ subscript clipping/broadcasting, bounds masks, readiness index vectors.
 A plan lowers an already-semantically-checked AST subtree **once** into a
 tree of Python closures; per-node memos then cache the static derivations
 across sweeps, keyed by what could actually change (grid axes, the
-resolved bindings of the free names, array identity).
+resolved bindings of the free names, the array's layout and shape).
 
 The contract is strict *observational equivalence* with the tree-walker:
 
@@ -22,10 +22,12 @@ The contract is strict *observational equivalence* with the tree-walker:
 
 Memos therefore never skip operand evaluation — they only skip the final
 ufunc / gather / classification once the operands are known static.  A
-memo is valid only when the grid axes match, the free names resolve to
-the same axis/constant bindings (re-checked every execution: cheap dict
-lookups guard against shadowing), and — for array references — the base
-still resolves to the same :class:`ArrayVar`.
+memo is valid only when the grid axes match and the free names resolve
+to the same axis/constant bindings (re-checked every execution: cheap
+dict lookups guard against shadowing).  Array-reference memos live in a
+bounded per-node table (:class:`_MemoTable`) keyed additionally on the
+array's layout, view shape and dtype — never on the :class:`ArrayVar` —
+so they serve every ``seq`` step and every later run of the program.
 
 Gathers whose subscripts are static additionally get an ``np.ix_`` *take
 recipe*: an N-d fancy gather over the grid collapses to a take over one
@@ -111,6 +113,79 @@ def _binding_sig(names: Optional[Tuple[str, ...]], ctx: ExecContext):
 
 def _axes_match(a, b) -> bool:
     return a is b or a == b
+
+
+# ---------------------------------------------------------------------------
+# bounded per-reference memo tables
+# ---------------------------------------------------------------------------
+
+#: most entries one reference's memo table holds — room for a ``seq``
+#: element stepping over a paper-sized index set (APSP's ``k``, N = 64)
+MEMO_ENTRIES = 128
+#: most index bytes one table holds (a single larger entry is still kept)
+MEMO_BYTES = 32 << 20
+
+
+def _held_bytes(*parts) -> int:
+    """Bytes the arrays in ``parts`` really hold (broadcast axes free)."""
+    total = 0
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            total += _compact(part).nbytes
+        elif isinstance(part, (tuple, list)):
+            total += _held_bytes(*part)
+    return total
+
+
+class _MemoTable:
+    """The memos of one plan node, keyed by what their contents depend on.
+
+    Plans live in a shared compile store, so one table serves every
+    ``seq`` step and every run of its program.  Entries hold only
+    derived index data, never an array's field data; the oldest entries
+    go first once the table exceeds :data:`MEMO_ENTRIES` entries or
+    :data:`MEMO_BYTES` bytes.
+    """
+
+    __slots__ = ("entries", "nbytes")
+
+    def __init__(self) -> None:
+        self.entries: dict = {}
+        self.nbytes = 0
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def get(self, key):
+        return self.entries.get(key)
+
+    def put(self, key, memo) -> None:
+        entries = self.entries
+        old = entries.pop(key, None)
+        if old is not None:
+            self.nbytes -= old.nbytes
+        entries[key] = memo
+        self.nbytes += memo.nbytes
+        while len(entries) > MEMO_ENTRIES or (
+            self.nbytes > MEMO_BYTES and len(entries) > 1
+        ):
+            self.nbytes -= entries.pop(next(iter(entries))).nbytes
+
+
+def _memo_key(names, ctx: ExecContext, *where):
+    """Memo key of one array reference, or None when it is not static.
+
+    The subscripts are fixed by the binding signature and the grid axes;
+    the classification, tier and index recipes then depend only on
+    ``where`` — the array's layout, view shape and dtype (for solve's
+    ``defined`` flags, their shape).  The machine cost table and engine
+    flags are fixed per plan cache (the compile store keys its backends
+    on them).
+    """
+    sig = _binding_sig(names, ctx)
+    if sig is None:
+        return None
+    return (sig, ctx.grid.axes) + where
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +561,13 @@ def _log_tier(ip, node, tier: str) -> None:
 
 
 class _GatherMemo:
-    __slots__ = ("axes", "sig", "arr", "oob", "rc", "idx", "recipe", "tier", "shift")
+    __slots__ = ("oob", "rc", "idx", "recipe", "tier", "shift", "nbytes")
 
-    def __init__(self, axes, sig, arr, oob, rc, idx, recipe, tier, shift) -> None:
-        self.axes = axes
-        self.sig = sig
-        self.arr = arr
+    def __init__(self, oob, rc, idx, recipe, tier, shift) -> None:
         self.oob = oob
         self.rc = rc
+        #: full index arrays, kept only when neither a shift nor a take
+        #: recipe can serve the gather
         self.idx = idx
         self.recipe = recipe
         #: communication tier decided once at memo-build time
@@ -501,6 +575,7 @@ class _GatherMemo:
         #: NEWS shift recipe ((axis, offset) pairs) when the tier dispatcher
         #: can service this gather as chained clamped shifts
         self.shift = shift
+        self.nbytes = _held_bytes(oob, idx, recipe.vecs if recipe else None)
 
 
 class _GatherPlan:
@@ -511,7 +586,7 @@ class _GatherPlan:
         self.subs = subs
         self.names = names
         self.view_ok = view_ok
-        self._memo = None
+        self._memo = _MemoTable()
 
     def __call__(self, ip, ctx: ExecContext):
         node = self.node
@@ -540,31 +615,29 @@ class _GatherPlan:
             return data[idx].item()
 
         mask = ctx.active_mask()
-        m = self._memo
-        if (
-            m is not None
-            and direct
-            and m.arr is arr
-            and _axes_match(m.axes, ctx.grid.axes)
-        ):
-            sig = _binding_sig(self.names, ctx)
-            if sig is not None and sig == m.sig:
-                if m.oob is not None:
-                    for ob in m.oob:
-                        if ob is not None and np.any(ob & mask):
-                            E._bounds_check(node, subs, view_shape, mask)
-                commtiers.charge_tier(
-                    ip, ctx, m.tier, m.rc, write=False, layout=arr.layout
-                )
-                _log_tier(ip, node, m.tier)
-                if m.shift is not None:
-                    # NEWS tier: chained clamped shifts, bit-identical to
-                    # the clipped gather (and always a fresh array)
-                    return commtiers.run_shifts(data, m.shift)
-                if m.recipe is not None:
-                    out = m.recipe.take(data)
-                    return out if self.view_ok else out.copy()
-                return data[m.idx]
+        key = (
+            _memo_key(self.names, ctx, arr.layout, data.shape, data.dtype)
+            if direct
+            else None
+        )
+        m = self._memo.get(key) if key is not None else None
+        if m is not None:
+            if m.oob is not None:
+                for ob in m.oob:
+                    if ob is not None and np.any(ob & mask):
+                        E._bounds_check(node, subs, view_shape, mask)
+            commtiers.charge_tier(
+                ip, ctx, m.tier, m.rc, write=False, layout=arr.layout
+            )
+            _log_tier(ip, node, m.tier)
+            if m.shift is not None:
+                # NEWS tier: chained clamped shifts, bit-identical to
+                # the clipped gather (and always a fresh array)
+                return commtiers.run_shifts(data, m.shift)
+            if m.recipe is not None:
+                out = m.recipe.take(data)
+                return out if self.view_ok else out.copy()
+            return data[m.idx]
 
         # compact out-of-bounds probe first: when every subscript is in
         # range (the overwhelmingly common case) the O(grid) masked check
@@ -586,13 +659,13 @@ class _GatherPlan:
         )
         tier = E.charge_ref(ip, ctx, rc, write=False, node=node, layout=arr.layout)
 
-        memo_ok = direct and self.names is not None and (
-            ip.comm_tiers_enabled or tier == "local"
-        )
-        sig = _binding_sig(self.names, ctx) if memo_ok else None
+        # router-only ablation: remote references are serviced by the
+        # full general gather every sweep, exactly as the tree-walker
+        # does — no recipe, no memo
+        memo_ok = key is not None and (ip.comm_tiers_enabled or tier == "local")
         recipe = (
             _build_index_recipe(subs, view_shape, ctx.grid.shape)
-            if sig is not None
+            if memo_ok
             else None
         )
         grid_size = int(np.prod(ctx.grid.shape))
@@ -619,44 +692,31 @@ class _GatherPlan:
             ):
                 recipe = None
 
-        if direct and self.names is not None and not memo_ok:
-            # router-only ablation: remote references are serviced by
-            # the full general gather every sweep, exactly as the
-            # tree-walker does — no recipe, no cached index arrays
-            return result
-        if sig is not None:
+        if memo_ok:
             shift = None
             if tier == "news":
                 shift = commtiers.shift_descriptor(
                     rc, view_shape, ctx.grid.shape
                 )
-            self._memo = _GatherMemo(
-                ctx.grid.axes,
-                sig,
-                arr,
-                oob,
-                rc,
-                idx_tuple,
-                recipe,
-                tier,
-                shift,
+            if shift is not None or recipe is not None:
+                idx_tuple = None
+            self._memo.put(
+                key, _GatherMemo(oob, rc, idx_tuple, recipe, tier, shift)
             )
         return result
 
 
 class _ScatterMemo:
-    __slots__ = ("axes", "sig", "arr", "oob", "rc", "flat", "unique", "tier")
+    __slots__ = ("oob", "rc", "flat", "unique", "tier", "nbytes")
 
-    def __init__(self, axes, sig, arr, oob, rc, flat, unique, tier) -> None:
-        self.axes = axes
-        self.sig = sig
-        self.arr = arr
+    def __init__(self, oob, rc, flat, unique, tier) -> None:
         self.oob = oob
         self.rc = rc
         self.flat = flat
         self.unique = unique
         #: communication tier decided once at memo-build time
         self.tier = tier
+        self.nbytes = _held_bytes(oob, flat)
 
 
 class _ScatterPlan:
@@ -666,7 +726,7 @@ class _ScatterPlan:
         self.node = node
         self.subs = subs
         self.names = names
-        self._memo = None
+        self._memo = _MemoTable()
 
     def __call__(self, ip, value, ctx: ExecContext) -> None:
         node = self.node
@@ -699,51 +759,49 @@ class _ScatterPlan:
         mask = ctx.active_mask()
         if not np.any(mask):
             return
-        m = self._memo
-        if (
-            m is not None
-            and direct
-            and m.arr is arr
-            and _axes_match(m.axes, ctx.grid.axes)
-        ):
-            sig = _binding_sig(self.names, ctx)
-            if sig is not None and sig == m.sig:
-                if m.oob is not None:
-                    for ob in m.oob:
-                        if ob is not None and np.any(ob & mask):
-                            E._bounds_check(node, subs, view_shape, mask)
-                commtiers.charge_tier(
-                    ip, ctx, m.tier, m.rc, write=True, layout=arr.layout
+        key = (
+            _memo_key(self.names, ctx, arr.layout, data.shape, data.dtype)
+            if direct
+            else None
+        )
+        m = self._memo.get(key) if key is not None else None
+        if m is not None:
+            if m.oob is not None:
+                for ob in m.oob:
+                    if ob is not None and np.any(ob & mask):
+                        E._bounds_check(node, subs, view_shape, mask)
+            commtiers.charge_tier(
+                ip, ctx, m.tier, m.rc, write=True, layout=arr.layout
+            )
+            _log_tier(ip, node, m.tier)
+            flat_mask = mask.reshape(-1)
+            flat_idx = m.flat[flat_mask]
+            if isinstance(value, np.ndarray):
+                vals = np.broadcast_to(value, ctx.grid.shape).reshape(-1)[
+                    flat_mask
+                ]
+            else:
+                vals = np.full(int(flat_mask.sum()), value)
+            vals = E._cast_array(vals, data.dtype)
+            if not m.unique:
+                E._check_single_assignment(
+                    node,
+                    flat_idx,
+                    vals,
+                    grid_shape=ctx.grid.shape,
+                    flat_mask=flat_mask,
+                    view_shape=view_shape,
+                    construct=getattr(ip, "current_construct", None),
                 )
-                _log_tier(ip, node, m.tier)
-                flat_mask = mask.reshape(-1)
-                flat_idx = m.flat[flat_mask]
-                if isinstance(value, np.ndarray):
-                    vals = np.broadcast_to(value, ctx.grid.shape).reshape(-1)[
-                        flat_mask
-                    ]
-                else:
-                    vals = np.full(int(flat_mask.sum()), value)
-                vals = E._cast_array(vals, data.dtype)
-                if not m.unique:
-                    E._check_single_assignment(
-                        node,
-                        flat_idx,
-                        vals,
-                        grid_shape=ctx.grid.shape,
-                        flat_mask=flat_mask,
-                        view_shape=view_shape,
-                        construct=getattr(ip, "current_construct", None),
-                    )
-                if getattr(ip, "sanitizer", None) is not None:
-                    ip.sanitizer.record_write(
-                        node,
-                        (not m.unique)
-                        and bool(np.unique(flat_idx).size < flat_idx.size),
-                    )
-                data.reshape(-1)[flat_idx] = vals
-                ip.cse_invalidate(node.base)
-                return
+            if getattr(ip, "sanitizer", None) is not None:
+                ip.sanitizer.record_write(
+                    node,
+                    (not m.unique)
+                    and bool(np.unique(flat_idx).size < flat_idx.size),
+                )
+            data.reshape(-1)[flat_idx] = vals
+            ip.cse_invalidate(node.base)
+            return
 
         E._bounds_check(node, subs, view_shape, mask)
         rc = classify_write(
@@ -786,21 +844,19 @@ class _ScatterPlan:
         data.reshape(-1)[flat_idx] = vals
         ip.cse_invalidate(node.base)
 
-        if direct and self.names is not None:
-            sig = _binding_sig(self.names, ctx)
-            if sig is not None:
-                full_flat = np.ravel_multi_index(tuple(idx_arrays), view_shape)
-                unique = np.unique(full_flat).size == full_flat.size
-                self._memo = _ScatterMemo(
-                    ctx.grid.axes,
-                    sig,
-                    arr,
+        if key is not None:
+            full_flat = np.ravel_multi_index(tuple(idx_arrays), view_shape)
+            unique = np.unique(full_flat).size == full_flat.size
+            self._memo.put(
+                key,
+                _ScatterMemo(
                     _oob_masks(subs, view_shape, ctx.grid.shape),
                     rc,
                     full_flat,
                     unique,
                     tier,
-                )
+                ),
+            )
 
 
 class _AssignPlan:
@@ -910,6 +966,31 @@ class _CallPlan:
         if ctx.grid.is_host:
             return int(ip.rng.integers(0, RAND_MAX))
         return ip.rng.integers(0, RAND_MAX, size=ctx.grid.shape)
+
+
+class _SwapPlan:
+    """``swap(x[..], y[..])``: both gathers, then both scatters, in the
+    order of :func:`repro.interp.functions._builtin_swap` (which stays
+    the tree oracle, and still serves a user ``swap`` and host calls)."""
+
+    __slots__ = ("node", "reads", "writes")
+
+    def __init__(self, node) -> None:
+        self.node = node
+        self.reads = tuple(_gather_plan(a, False) for a in node.args)
+        self.writes = tuple(_scatter_plan(a) for a in node.args)
+
+    def __call__(self, ip, ctx: ExecContext):
+        node = self.node
+        if ctx.grid.is_host or ip.info.functions.get(node.func) is not None:
+            return ip.call_function(node, ctx)
+        read_x, read_y = self.reads
+        write_x, write_y = self.writes
+        x = read_x(ip, ctx)
+        y = read_y(ip, ctx)
+        write_x(ip, y, ctx)
+        write_y(ip, x, ctx)
+        return 0
 
 
 class _ReductionPlan:
@@ -1044,12 +1125,7 @@ def _compile_inner(node: ast.Expr, view_ok: bool):
     if isinstance(node, ast.Name):
         return _NamePlan(node)
     if isinstance(node, ast.Index):
-        return _GatherPlan(
-            node,
-            [compile_expr(s, view_ok) for s in node.subs],
-            _joint_static_names(node.subs),
-            view_ok,
-        )
+        return _gather_plan(node, view_ok)
     if isinstance(node, ast.Unary):
         return _UnaryPlan(
             node, compile_expr(node.operand, view_ok), _static_names(node)
@@ -1069,6 +1145,12 @@ def _compile_inner(node: ast.Expr, view_ok: bool):
             _static_names(node),
         )
     if isinstance(node, ast.Call):
+        if (
+            node.func == "swap"
+            and len(node.args) == 2
+            and all(isinstance(a, ast.Index) for a in node.args)
+        ):
+            return _SwapPlan(node)
         return _CallPlan(node, [compile_expr(a) for a in node.args])
     if isinstance(node, ast.Reduction):
         pure = not any(
@@ -1106,12 +1188,23 @@ def _compile_assign(node: ast.Assign):
     read = compile_expr(node.target) if node.op else None
     scatter = None
     if isinstance(node.target, ast.Index):
-        scatter = _ScatterPlan(
-            node.target,
-            [compile_expr(s) for s in node.target.subs],
-            _joint_static_names(node.target.subs),
-        )
+        scatter = _scatter_plan(node.target)
     return _AssignPlan(node, value, read, scatter)
+
+
+def _gather_plan(node: ast.Index, view_ok: bool) -> _GatherPlan:
+    return _GatherPlan(
+        node,
+        [compile_expr(s, view_ok) for s in node.subs],
+        _joint_static_names(node.subs),
+        view_ok,
+    )
+
+
+def _scatter_plan(node: ast.Index) -> _ScatterPlan:
+    return _ScatterPlan(
+        node, [compile_expr(s) for s in node.subs], _joint_static_names(node.subs)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1257,15 +1350,14 @@ class _ReadyTrue:
 
 
 class _ReadyIndexMemo:
-    __slots__ = ("axes", "sig", "flags", "idx", "noob", "recipe")
+    __slots__ = ("idx", "noob", "recipe", "nbytes")
 
-    def __init__(self, axes, sig, flags, idx, noob, recipe) -> None:
-        self.axes = axes
-        self.sig = sig
-        self.flags = flags
+    def __init__(self, idx, noob, recipe) -> None:
+        #: full index arrays, kept only when no take recipe exists
         self.idx = idx
         self.noob = noob
         self.recipe = recipe
+        self.nbytes = _held_bytes(idx, noob, recipe.vecs if recipe else None)
 
 
 class _ReadyIndex:
@@ -1275,7 +1367,7 @@ class _ReadyIndex:
         self.node = node
         self.subs = subs
         self.names = names
-        self._memo = None
+        self._memo = _MemoTable()
 
     def __call__(self, ip, ctx: ExecContext, defined) -> np.ndarray:
         node = self.node
@@ -1284,14 +1376,13 @@ class _ReadyIndex:
             return np.broadcast_to(_TRUE, shape)
         flags = defined[node.base]
         subs = [p(ip, ctx) for p in self.subs]
-        m = self._memo
-        if m is not None and m.flags is flags and _axes_match(m.axes, ctx.grid.axes):
-            sig = _binding_sig(self.names, ctx)
-            if sig is not None and sig == m.sig:
-                got = m.recipe.take(flags) if m.recipe is not None else flags[m.idx]
-                if m.noob is None:
-                    return got
-                return got & m.noob
+        key = _memo_key(self.names, ctx, flags.shape)
+        m = self._memo.get(key) if key is not None else None
+        if m is not None:
+            got = m.recipe.take(flags) if m.recipe is not None else flags[m.idx]
+            if m.noob is None:
+                return got
+            return got & m.noob
         idx = []
         oob = np.zeros(shape, dtype=bool)
         for a, s in enumerate(subs):
@@ -1300,20 +1391,21 @@ class _ReadyIndex:
             idx.append(np.clip(arr, 0, flags.shape[a] - 1))
         got = flags[tuple(idx)]
         result = got & ~oob
-        if self.names is not None:
-            sig = _binding_sig(self.names, ctx)
-            if sig is not None:
-                recipe = _build_index_recipe(subs, flags.shape, shape)
-                if (
-                    recipe is not None
-                    and got.size <= _VERIFY_LIMIT
-                    and not np.array_equal(np.asarray(recipe.take(flags)), got)
-                ):
-                    recipe = None
-                noob = ~oob if bool(np.any(oob)) else None
-                self._memo = _ReadyIndexMemo(
-                    ctx.grid.axes, sig, flags, tuple(idx), noob, recipe
-                )
+        if key is not None:
+            recipe = _build_index_recipe(subs, flags.shape, shape)
+            if (
+                recipe is not None
+                and got.size <= _VERIFY_LIMIT
+                and not np.array_equal(np.asarray(recipe.take(flags)), got)
+            ):
+                recipe = None
+            noob = ~oob if bool(np.any(oob)) else None
+            self._memo.put(
+                key,
+                _ReadyIndexMemo(
+                    tuple(idx) if recipe is None else None, noob, recipe
+                ),
+            )
         return result
 
 
@@ -1464,6 +1556,15 @@ class _MarkNamePlan:
             defined[self.ident][...] = True
 
 
+class _MarkMemo:
+    __slots__ = ("cols", "nbytes")
+
+    def __init__(self, cols) -> None:
+        #: per flags axis: the clipped flat subscript column, or an int
+        self.cols = cols
+        self.nbytes = _held_bytes(cols)
+
+
 class _MarkIndexPlan:
     __slots__ = ("node", "subs", "names", "_memo")
 
@@ -1471,28 +1572,27 @@ class _MarkIndexPlan:
         self.node = node
         self.subs = subs
         self.names = names
-        self._memo = None
+        self._memo = _MemoTable()
 
     def __call__(self, ip, ctx: ExecContext, defined) -> None:
         mask = ctx.active_mask()
         flags = defined[self.node.base]
         subs = [p(ip, ctx) for p in self.subs]
-        m = self._memo
-        if m is not None and m[2] is flags and _axes_match(m[0], ctx.grid.axes):
-            sig = _binding_sig(self.names, ctx)
-            if sig is not None and sig == m[1]:
-                fm = mask.reshape(-1)
-                n_act = None
-                idx = []
-                for col in m[3]:
-                    if isinstance(col, np.ndarray):
-                        idx.append(col[fm])
-                    else:
-                        if n_act is None:
-                            n_act = int(mask.sum())
-                        idx.append(np.full(n_act, col))
-                flags[tuple(idx)] = True
-                return
+        key = _memo_key(self.names, ctx, flags.shape)
+        m = self._memo.get(key) if key is not None else None
+        if m is not None:
+            fm = mask.reshape(-1)
+            n_act = None
+            idx = []
+            for col in m.cols:
+                if isinstance(col, np.ndarray):
+                    idx.append(col[fm])
+                else:
+                    if n_act is None:
+                        n_act = int(mask.sum())
+                    idx.append(np.full(n_act, col))
+            flags[tuple(idx)] = True
+            return
         idx = []
         for a, s in enumerate(subs):
             if isinstance(s, np.ndarray):
@@ -1502,16 +1602,14 @@ class _MarkIndexPlan:
             else:
                 idx.append(np.full(int(mask.sum()), int(s)))
         flags[tuple(idx)] = True
-        if self.names is not None:
-            sig = _binding_sig(self.names, ctx)
-            if sig is not None:
-                cols = []
-                for a, s in enumerate(subs):
-                    if isinstance(s, np.ndarray):
-                        cols.append(np.clip(s, 0, flags.shape[a] - 1).reshape(-1))
-                    else:
-                        cols.append(int(s))
-                self._memo = (ctx.grid.axes, sig, flags, tuple(cols))
+        if key is not None:
+            cols = []
+            for a, s in enumerate(subs):
+                if isinstance(s, np.ndarray):
+                    cols.append(np.clip(s, 0, flags.shape[a] - 1).reshape(-1))
+                else:
+                    cols.append(int(s))
+            self._memo.put(key, _MarkMemo(tuple(cols)))
 
 
 def _compile_mark(target: ast.Expr):

@@ -127,7 +127,12 @@ class Lexer:
             self._advance(2)
             while self._peek() and self._peek() in "0123456789abcdefABCDEF":
                 self._advance()
-            return Token("int", int(self.src[start : self.pos], 16), line, col)
+            text = self.src[start : self.pos]
+            if len(text) == 2:
+                raise UCSyntaxError(
+                    f"hexadecimal literal {text!r} has no digits", line, col
+                )
+            return Token("int", int(text, 16), line, col)
 
         saw_dot = False
         saw_exp = False
@@ -151,7 +156,14 @@ class Lexer:
         text = self.src[start : self.pos]
         if saw_dot or saw_exp:
             return Token("float", float(text), line, col)
-        return Token("int", int(text, 8) if text.startswith("0") and len(text) > 1 else int(text), line, col)
+        if text.startswith("0") and len(text) > 1:
+            bad = next((c for c in text if c in "89"), None)
+            if bad is not None:
+                raise UCSyntaxError(
+                    f"invalid digit {bad!r} in octal literal {text!r}", line, col
+                )
+            return Token("int", int(text, 8), line, col)
+        return Token("int", int(text), line, col)
 
     def _string(self, line: int, col: int) -> Token:
         self._advance()  # opening quote

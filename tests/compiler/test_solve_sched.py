@@ -113,3 +113,49 @@ class TestLevelMachinery:
         levels = _dependency_levels((4, 4), [(-1, 0), (0, -1)])
         i, j = np.indices((4, 4))
         assert np.array_equal(levels, i + j)
+
+    @pytest.mark.parametrize("d", [(-2, 0), (-7, 0), (0, 3), (0, 9), (-2, -3)])
+    def test_shift_levels_offset_at_or_beyond_extent(self, d):
+        levels = np.arange(6).reshape(2, 3)
+        assert (_shift_levels(levels, d) == -1).all()
+
+
+FAR_WAVEFRONT = (
+    "index_set I:i = {0..N-1}, J:j = I;\nint a[N][N];\n"
+    "main { solve (I, J) a[i][j] = (i == 0 || j == 0) ? 1 "
+    ": a[i-10][j] + a[i-1][j-1] + a[i][j-1]; }"
+)
+
+
+class TestFarDependence:
+    """An offset at or beyond the grid extent reaches no grid point."""
+
+    def test_far_offset_schedules(self):
+        sched = schedule_for(FAR_WAVEFRONT, {"N": 6})
+        assert sched is not None
+        _i, j = np.indices((6, 6))
+        # the far reference adds no dependency; (-1,-1) and (0,-1) still do
+        assert np.array_equal(sched.levels, j)
+
+    @pytest.mark.parametrize("plans", [True, False])
+    def test_far_reference_out_of_range_is_a_located_error(self, plans):
+        from repro.lang.errors import UCRuntimeError
+
+        with pytest.raises(UCRuntimeError) as exc:
+            UCProgram(FAR_WAVEFRONT, defines={"N": 6}, plans=plans).run()
+        assert "subscript 0 of 'a' out of range (value -9, extent 6)" in str(exc.value)
+        assert (exc.value.line, exc.value.col) == (3, 56)
+
+    @pytest.mark.parametrize("plans", [True, False])
+    def test_guarded_far_reference_runs(self, plans):
+        src = (
+            "index_set I:i = {0..N-1}, J:j = I;\nint a[N][N];\n"
+            "main { solve (I, J) a[i][j] = (i == 0 || j == 0) ? 1 "
+            ": (i >= 10 ? a[i-10][j] : 0) + a[i-1][j-1] + a[i][j-1]; }"
+        )
+        got = UCProgram(src, defines={"N": 6}, plans=plans).run()["a"]
+        want = np.ones((6, 6), dtype=np.int64)
+        for i in range(1, 6):
+            for j in range(1, 6):
+                want[i, j] = want[i - 1, j - 1] + want[i, j - 1]
+        assert np.array_equal(got, want)

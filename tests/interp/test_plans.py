@@ -7,6 +7,7 @@ tree-walker's.  These tests run every workload and example under both
 engines and compare everything.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,11 @@ import pytest
 from repro.algorithms.shortest_path import random_distance_matrix
 from repro.bench import workloads as W
 from repro.bench.workloads import log2_ceil
+from repro.interp import eval_expr, functions, fuse, plan
+from repro.interp.compile_store import CompileStore
 from repro.interp.plan_cache import PlanCache
 from repro.interp.program import UCProgram
+from repro.lang.errors import UCRuntimeError
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "uc"
 BIG = 1 << 20
@@ -219,3 +223,216 @@ class TestRecipeGeometry:
             }
             """
         )
+
+
+def count_classifications(monkeypatch):
+    """Count every reference classification the engines ask for."""
+    calls = {"n": 0}
+    for mod in (plan, eval_expr, fuse):
+        for name in ("classify_reference", "classify_write"):
+            real = getattr(mod, name)
+
+            def counted(*args, _real=real, **kwargs):
+                calls["n"] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+WARM = {
+    "apsp_n2": (W.APSP_N2_UC, {"N": 16}, lambda r: {"d": random_distance_matrix(16, seed=r)}, {}),
+    "oddeven": (W.ODDEVEN_UC, {"N": 16}, lambda r: {"x": np.random.default_rng(r).permutation(16)}, {}),
+    "wavefront": (W.WAVEFRONT_UC, {"N": 10}, lambda r: None, {}),
+    "wavefront_guarded": (W.WAVEFRONT_UC, {"N": 10}, lambda r: None, {"solve_strategy": "guarded"}),
+    "obstacle": (W.OBSTACLE_UC, {"R": 12, "WALL": BIG}, lambda r: None, {}),
+}
+
+
+class TestWarmRunMemos:
+    """Reference memos survive across seq steps and across runs: a warm
+    run through a shared compile store classifies no static reference."""
+
+    @pytest.fixture(autouse=True)
+    def _memoising_engine(self, monkeypatch):
+        # the memos under test belong to the plan engine with the tier
+        # dispatcher on (the router-only ablation re-gathers by design)
+        monkeypatch.delenv("REPRO_NO_PLANS", raising=False)
+        monkeypatch.delenv("REPRO_NO_COMM_TIERS", raising=False)
+
+    @pytest.mark.parametrize("name", sorted(WARM))
+    def test_second_run_classifies_nothing(self, name, monkeypatch):
+        src, defines, make, kw = WARM[name]
+        prog = UCProgram(src, defines=defines, compile_store=CompileStore(), **kw)
+        calls = count_classifications(monkeypatch)
+        prog.run(make(1), seed=1)
+        assert calls["n"] > 0
+        calls["n"] = 0
+        warm = prog.run(make(2), seed=2)
+        assert calls["n"] == 0
+        # the warm run is still exactly the tree oracle's run
+        oracle = UCProgram(src, defines=defines, plans=False, compile_store=None, **kw)
+        cold = oracle.run(make(2), seed=2)
+        assert (
+            prog.last_interpreter.machine.clock.fingerprint()
+            == oracle.last_interpreter.machine.clock.fingerprint()
+        )
+        for var in cold.keys():
+            assert np.array_equal(np.asarray(warm[var]), np.asarray(cold[var]))
+
+    def test_table_never_exceeds_its_bound(self, monkeypatch):
+        monkeypatch.setattr(plan, "MEMO_ENTRIES", 4)
+        sizes = []
+        real_put = plan._MemoTable.put
+
+        def put(table, key, memo):
+            real_put(table, key, memo)
+            sizes.append(len(table))
+
+        monkeypatch.setattr(plan._MemoTable, "put", put)
+        # d[i][k] / d[k][j] need one entry per k = 0..15: the table cycles
+        src, defines, make, _kw = WARM["apsp_n2"]
+        assert_identical(src, defines, make(3), compile_store=CompileStore())
+        assert max(sizes) == 4
+
+    def test_byte_budget_keeps_one_entry(self, monkeypatch):
+        monkeypatch.setattr(plan, "MEMO_BYTES", 1)
+        sizes = []
+        real_put = plan._MemoTable.put
+
+        def put(table, key, memo):
+            real_put(table, key, memo)
+            sizes.append(len(table))
+            assert table.nbytes == sum(m.nbytes for m in table.entries.values())
+
+        monkeypatch.setattr(plan._MemoTable, "put", put)
+        src, defines, make, _kw = WARM["apsp_n2"]
+        assert_identical(src, defines, make(3), compile_store=CompileStore())
+        assert sizes and max(sizes) == 1
+
+    def test_new_layout_misses_the_memo(self, monkeypatch):
+        """A relayout installs a new Layout: memos built for the old one
+        must miss, and the run must match the oracle under the new one."""
+        src, defines, make, _kw = WARM["apsp_n2"]
+        prog = UCProgram(src, defines=defines, compile_store=CompileStore())
+        prog.run(make(1), seed=1)
+        moved = replace(prog.layouts.get("d"), axis_perm=(1, 0))
+        prog.layouts.add(moved)
+        calls = count_classifications(monkeypatch)
+        got = prog.run(make(2), seed=2)
+        assert calls["n"] > 0
+        oracle = UCProgram(src, defines=defines, plans=False, compile_store=None)
+        oracle.layouts.add(moved)
+        want = oracle.run(make(2), seed=2)
+        assert np.array_equal(got["d"], want["d"])
+        fp = prog.last_interpreter.machine.clock.fingerprint()
+        assert fp == oracle.last_interpreter.machine.clock.fingerprint()
+
+
+#: odd-even transposition sort with swap() in a protected seq/par body
+SWAP_SORT = """
+index_set I:i = {0..N-2}, K:k = {0..N-1};
+int x[N];
+main {
+    seq (K)
+      par (I)
+        st (i % 2 == k % 2 && x[i] > x[i+1]) swap(x[i], x[i+1]);
+}
+"""
+SWAP_X = np.random.default_rng(4).permutation(16)
+
+
+class TestCompiledSwap:
+    """swap() runs as compiled gathers and scatters, indistinguishable
+    from the tree oracle's functions._builtin_swap."""
+
+    @pytest.mark.parametrize("src", [W.ODDEVEN_UC, SWAP_SORT], ids=["oneof", "seqpar"])
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"sanitize": True}, {"shards": 4}, {"comm_tiers": False}, {"frontier": False}],
+        ids=["default", "sanitize", "shards4", "router-only", "no-frontier"],
+    )
+    def test_parity(self, src, kw):
+        assert_identical(src, {"N": 16}, {"x": SWAP_X}, **kw)
+
+    def test_plans_skip_the_tree_builtin(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_PLANS", raising=False)
+        calls = []
+        real = functions._builtin_swap
+        monkeypatch.setattr(
+            functions, "_builtin_swap", lambda *a: calls.append(1) or real(*a)
+        )
+        res = UCProgram(W.ODDEVEN_UC, defines={"N": 16}).run({"x": SWAP_X})
+        assert list(res["x"]) == sorted(SWAP_X)
+        assert calls == []
+
+    def test_sanitizer_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        on, off, (fp_on, fp_off) = run_both(W.ODDEVEN_UC, {"N": 16}, {"x": SWAP_X})
+        assert fp_on == fp_off
+        assert on.sanitizer == off.sanitizer
+        assert on.sanitizer
+
+    def test_tier_log(self):
+        logs = []
+        for plans in (True, False):
+            prog = UCProgram(W.ODDEVEN_UC, defines={"N": 16}, plans=plans, log_tiers=True)
+            prog.run({"x": SWAP_X})
+            logs.append(prog.last_interpreter.tier_log)
+        assert logs[0] == logs[1]
+        assert logs[0]
+
+    @pytest.mark.parametrize("spec", ["kill:2@alu#20", "drop@alu#30", "kill:1@alu#5;drop@alu#40"])
+    def test_fault_recovery(self, spec):
+        on, off, (fp_on, fp_off) = run_both(SWAP_SORT, {"N": 16}, {"x": SWAP_X}, faults=spec)
+        assert fp_on == fp_off
+        assert on.recovery == off.recovery and on.recovery["retries"] >= 1
+        assert list(on["x"]) == list(off["x"]) == sorted(SWAP_X)
+
+    def test_user_function_named_swap_wins(self):
+        src = """
+        index_set I:i = {0..7};
+        int x[8], y[8];
+        int swap(int a, int b) { return a * 10 + b; }
+        main {
+            par (I) x[i] = i;
+            par (I) st (i < 7) y[i] = swap(x[i], x[i+1]);
+        }
+        """
+        assert_identical(src)
+        res = UCProgram(src).run()
+        assert list(res["y"][:7]) == [i * 10 + i + 1 for i in range(7)]
+
+    @pytest.mark.parametrize("plans", [True, False])
+    def test_non_reference_argument_error(self, plans):
+        src = """index_set I:i = {0..7};
+int x[8];
+main { par (I) swap(x[i], 3); }"""
+        with pytest.raises(UCRuntimeError) as exc:
+            UCProgram(src, plans=plans).run()
+        assert "swap takes two array references" in str(exc.value)
+        assert (exc.value.line, exc.value.col) == (3, 16)
+
+    @pytest.mark.parametrize("plans", [True, False])
+    def test_colliding_lanes_raise_uc101(self, plans):
+        src = """index_set I:i = {0..3};
+int x[4];
+main {
+    par (I) x[i] = i + 1;
+    par (I) swap(x[i], x[0]);
+}"""
+        with pytest.raises(UCRuntimeError) as exc:
+            UCProgram(src, plans=plans).run()
+        msg = str(exc.value)
+        assert msg.startswith("[UC101] par assigns multiple distinct values to 'x'")
+        assert "(paper §3.4)" in msg
+        assert (exc.value.line, exc.value.col) == (5, 24)
+
+    def test_host_swap_delegates(self):
+        src = """
+        index_set K:k = {0..3};
+        int x[4];
+        main { x[0] = 5; x[3] = 7; seq (K) st (k < 2) swap(x[k], x[3-k]); }
+        """
+        assert_identical(src)
+        assert list(UCProgram(src).run()["x"]) == [7, 0, 0, 5]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lang.errors import UCSyntaxError
+from repro.lang.errors import UCError, UCSyntaxError
 from repro.lang.lexer import tokenize
 
 
@@ -57,6 +57,33 @@ class TestNumbers:
         """'0..9' in an index-set definition must not lex as floats."""
         toks = kinds("0..9")
         assert toks == [("int", 0), ("punct", ".."), ("int", 9)]
+
+    @pytest.mark.parametrize(
+        "src,msg",
+        [
+            ("x = 0x;", "hexadecimal literal '0x' has no digits"),
+            ("x = 0X+1;", "hexadecimal literal '0X' has no digits"),
+            ("x = 09;", "invalid digit '9' in octal literal '09'"),
+            ("x = 0187;", "invalid digit '8' in octal literal '0187'"),
+        ],
+    )
+    def test_malformed_literal_is_a_positioned_uc_error(self, src, msg):
+        with pytest.raises(UCError) as exc:
+            tokenize("int x;\n" + src)
+        assert isinstance(exc.value, UCSyntaxError)
+        assert msg in str(exc.value)
+        # the error points at the literal, not past it
+        assert (exc.value.line, exc.value.col) == (2, 5)
+
+    def test_leading_zero_float_is_not_octal(self):
+        assert kinds("09.5 08e1") == [("float", 9.5), ("float", 80.0)]
+
+    def test_malformed_literal_through_the_program_api(self):
+        from repro import UCProgram
+
+        with pytest.raises(UCError) as exc:
+            UCProgram("main { int x; x = 09; }")
+        assert (exc.value.line, exc.value.col) == (1, 19)
 
     def test_range_after_expression(self):
         toks = kinds("{N-1..2*N}")
