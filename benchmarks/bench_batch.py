@@ -277,7 +277,6 @@ def write_json(rows, small: bool) -> Path:
                 "sequential instance loops",
                 "mode": "small" if small else "full",
                 "reps": REPS,
-                "escape_hatch": "REPRO_NO_BATCH=1",
                 "baseline": "fresh UCProgram per instance, compile store "
                 "disabled (cold loop)",
                 "rows": rows,

@@ -138,10 +138,15 @@ def _cmd_run_batch(prog: UCProgram, args: argparse.Namespace) -> int:
             ).hexdigest()
             line += f"  fingerprint {digest[:16]}"
         print(line)
-    batched = results[-1].compile.get("batched_lanes", 0.0)
-    mode = (
-        f"batched x{int(batched)} lanes" if batched else "sequential fallback"
-    )
+    # absent: the whole batch ran the sequential loop; 0: lanes ran in
+    # lockstep but every construct executed per lane
+    batched = results[-1].compile.get("batched_lanes")
+    if batched:
+        mode = f"batched x{int(batched)} lanes"
+    elif batched is None:
+        mode = "sequential fallback"
+    else:
+        mode = "lockstep, per-lane constructs"
     print(
         f"-- batch: {len(results)} instances in {wall_ms:.1f} ms wall ({mode})"
     )
@@ -534,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute one instance per entry of a JSON list of input "
         "dicts ({\"var\": scalar-or-array, ...} or null) through the "
         "batched lane engine; results are bit-identical to running "
-        "each instance alone (REPRO_NO_BATCH=1 forces the loop)",
+        "each instance alone",
     )
     p_run.add_argument(
         "--profile",

@@ -449,7 +449,8 @@ def _bounds_check(
         if isinstance(s, np.ndarray):
             bad = ((s < 0) | (s >= extent)) & mask
             if np.any(bad):
-                val = int(s[bad][0]) if s[bad].size else -1
+                # the mask may carry leading batch-lane axes
+                val = int(np.broadcast_to(s, bad.shape)[bad][0])
                 raise UCRuntimeError(
                     f"subscript {a} of {node.base!r} out of range "
                     f"(value {val}, extent {extent})",

@@ -950,30 +950,42 @@ class StarSession:
     def full_end(self) -> None:
         if not self.active or self._full_t0 is None:
             return
+        changed: Dict[str, np.ndarray] = {}
+        dirs: Dict[str, Tuple[bool, bool]] = {}
+        for name, before in self._full_snapshot.items():
+            curr = self.S["arrays"][name]
+            changed[name] = before != curr
+            dirs[name] = (bool(np.any(curr > before)), bool(np.any(curr < before)))
+        self.record_full(self._full_t0, self._full_alloc0, changed, dirs)
+        self._full_snapshot = None
+
+    def record_full(
+        self,
+        t0: float,
+        alloc0: int,
+        changed: Dict[str, np.ndarray],
+        dirs: Dict[str, Tuple[bool, bool]],
+    ) -> None:
+        """Close a full sweep that began at clock time ``t0`` with
+        ``alloc0`` allocations: install its reference cost, per-name
+        change masks and (rose, fell) directions.  The batch engine calls
+        this directly with deltas it computed for all lanes at once."""
         clock = self.ip.machine.clock
         costs = clock.costs
-        alloc_extra = clock.count("alloc") - self._full_alloc0
+        alloc_extra = clock.count("alloc") - alloc0
         # a first sweep allocates VP sets the steady state reuses; do not
         # bake that one-off into the per-sweep reference cost
-        self.reference = (clock.time_us - self._full_t0) - alloc_extra * (
+        self.reference = (clock.time_us - t0) - alloc_extra * (
             costs.alloc + costs.dispatch
         )
         self.ref_pes = self.ip.machine.n_live_pes
-        prev: Dict[str, np.ndarray] = {}
-        stats: Dict[str, Tuple[int, int]] = {}
-        for name, before in self._full_snapshot.items():
-            curr = self.S["arrays"][name]
-            changed = before != curr
-            prev[name] = changed
-            stats[name] = (int(np.count_nonzero(changed)), int(changed.size))
-            self.dirs[name] = (
-                bool(np.any(curr > before)),
-                bool(np.any(curr < before)),
-            )
-        self.prev = prev
-        self.last_stats = stats
+        self.prev = changed
+        self.last_stats = {
+            name: (int(np.count_nonzero(ch)), int(ch.size))
+            for name, ch in changed.items()
+        }
+        self.dirs.update(dirs)
         self._full_t0 = None
-        self._full_snapshot = None
         clock.count_frontier("full_sweeps")
 
     def note_par_masks(self, masks: List[np.ndarray]) -> None:

@@ -27,6 +27,13 @@ candidates...) become **unfused segments**: the fused sweep drops back to
 the ordinary compiled-plan closure for just that statement, keeping the
 rest of the body on the fast path.
 
+The register program is the only step executor, for solo sweeps and
+for ``run_batch`` lanes alike.  Steps reach data through a per-sweep
+:class:`Frame`: the solo frame reads the bound variables directly; the
+batch engine's lane frame (:mod:`repro.interp.batch`) serves chunks of
+lane-stacked arrays and per-lane scalars, and puts one leading lane axis
+in front of every register.
+
 Correctness subtleties worth naming:
 
 * **CSE simulation.**  Inside a construct the engine arms a
@@ -64,7 +71,7 @@ import numpy as np
 
 from ..compiler.cstar_gen import expr_to_text
 from ..lang import ast
-from ..lang.errors import UCRuntimeError
+from ..lang.errors import UCMultipleAssignmentError, UCRuntimeError
 from ..lang.scope import IndexSetValue
 from ..machine.scan import INF
 from ..mapping.locality import classify_reference, classify_write
@@ -72,13 +79,15 @@ from . import commtiers
 from . import eval_expr as E
 from .plan import (
     _VERIFY_LIMIT,
+    _UnaryPlan,
     _build_index_recipe,
+    _lead_axes,
     _oob_masks,
     compile_stmt,
 )
-from .values import ArrayVar, ElementBinding, ScalarVar
+from .values import ArrayVar, ElementBinding, LaneScalars, ScalarVar, coerce_scalar
 
-__all__ = ["fused_for", "FusedConstruct"]
+__all__ = ["fused_for", "Frame", "FusedConstruct"]
 
 #: cached sentinel for constructs the pass declined to fuse
 _UNFUSABLE = object()
@@ -138,17 +147,94 @@ class _Recorder:
         self.entries.append(("r", op, order_safe, n_vps, vp_ratio, grid_shape))
 
 
-def _replay(clock, entries) -> None:
-    """Re-issue a recorded charge table against the real clock."""
-    clock.replay(entries)
+# ---------------------------------------------------------------------------
+# sweep frames
+# ---------------------------------------------------------------------------
+
+
+#: a scalar write a step decided not to perform (empty lane mask)
+_NO_WRITE = object()
+
+
+class Frame:
+    """Where one sweep's register program finds its data.
+
+    A step reads arrays, reads and writes front-end scalars, charges its
+    static table and drops CSE entries only through its frame, so one
+    step implementation serves both callers:
+
+    * this class, the **solo** frame: arrays are the bound
+      :class:`ArrayVar` data, scalars are plain values, registers carry
+      no leading axis (``lead == 0``);
+    * :class:`repro.interp.batch._LaneFrame`: arrays are a chunk of
+      lane-stacked ``(n,) + shape`` views, scalars that differ between
+      lanes travel as :class:`LaneScalars`, and every register carries
+      the lane axis in front (``lead == 1``), so reduce, squeeze, expand
+      and NEWS-shift axes move up by one.
+    """
+
+    lead = 0
+    lead_shape: Tuple[int, ...] = ()
+
+    def __init__(self, ip) -> None:
+        self.ip = ip
+
+    def data(self, arr: ArrayVar) -> np.ndarray:
+        return arr.data
+
+    def read(self, var: ScalarVar):
+        return var.value
+
+    def assign(self, var: ScalarVar, value) -> None:
+        if value is not _NO_WRITE:
+            var.value = coerce_scalar(var.ctype, value)
+            self.ip.cse_invalidate(var.name)
+
+    def lanes(self, fn, *vals):
+        """``fn(*vals)`` once per lane; a solo sweep has exactly one."""
+        return fn(*vals)
+
+    def invalidate(self, name: str) -> None:
+        self.ip.cse_invalidate(name)
+
+    def charge(self, entries) -> None:
+        clock = self.ip.machine.clock
+        clock.replay(entries)
+        clock.count_fusion("charge_table_hits")
+
+
+def _lift(v, ndim: int):
+    """A per-lane scalar as an array broadcasting lane-wise over ``ndim``
+    dimensions; anything else unchanged."""
+    return v.lifted(ndim) if isinstance(v, LaneScalars) else v
+
+
+def _bool_bcast(v, shape):
+    """``broadcast(truthy(v))`` over ``shape``."""
+    return np.broadcast_to(np.asarray(E._truthy(_lift(v, len(shape)))), shape)
+
+
+def _scalar(fr: Frame, fn, *vals):
+    """``fn(*vals)`` on scalar operands, lane by lane when any differs
+    between lanes."""
+    for v in vals:
+        if isinstance(v, LaneScalars):
+            return fr.lanes(fn, *vals)
+    return fn(*vals)
+
+
+def _truthy_int(v):
+    t = E._truthy(v)
+    return t.astype(np.int64) if isinstance(t, np.ndarray) else int(t)
 
 
 # ---------------------------------------------------------------------------
 # register-program steps
 # ---------------------------------------------------------------------------
-# Each step is ``run(ip, regs)``: read source registers, write ``dst``.
+# Each step is ``run(fr, regs)``: read source registers, write ``dst``.
 # Mask registers hold boolean arrays; everything else holds whatever the
-# unfused evaluator would have produced (scalars or grid-shaped arrays).
+# unfused evaluator would have produced (scalars or grid-shaped arrays),
+# with the frame's lead axes in front.
 
 
 class _ReadScalar:
@@ -158,8 +244,8 @@ class _ReadScalar:
         self.dst = dst
         self.var = var
 
-    def run(self, ip, regs) -> None:
-        regs[self.dst] = self.var.value
+    def run(self, fr: Frame, regs) -> None:
+        regs[self.dst] = fr.read(self.var)
 
 
 class _Unary:
@@ -170,38 +256,34 @@ class _Unary:
         self.src = src
         self.node = node
 
-    def run(self, ip, regs) -> None:
-        v = regs[self.src]
-        node = self.node
-        if node.op == "-":
-            regs[self.dst] = -v
-        elif node.op == "!":
-            if isinstance(v, np.ndarray):
-                regs[self.dst] = np.logical_not(v.astype(bool)).astype(np.int64)
-            else:
-                regs[self.dst] = int(not v)
-        elif node.op == "~":
-            if isinstance(v, np.ndarray):
-                regs[self.dst] = np.invert(v.astype(np.int64))
-            else:
-                regs[self.dst] = ~int(v)
-        else:  # pragma: no cover - rejected at compile time
-            raise UCRuntimeError(f"bad unary {node.op!r}", node.line, node.col)
+    def apply(self, v):
+        return _UnaryPlan._apply(self.node, v)
+
+    def run(self, fr: Frame, regs) -> None:
+        regs[self.dst] = _scalar(fr, self.apply, regs[self.src])
 
 
 class _Binary:
-    __slots__ = ("dst", "a", "b", "node")
+    __slots__ = ("dst", "a", "b", "node", "rank")
 
-    def __init__(self, dst: int, a: int, b: int, node: ast.Binary) -> None:
+    def __init__(self, dst: int, a: int, b: int, node: ast.Binary, rank: int) -> None:
         self.dst = dst
         self.a = a
         self.b = b
         self.node = node
+        self.rank = rank  # grid rank of the context the operands live in
 
-    def run(self, ip, regs) -> None:
-        regs[self.dst] = E.apply_binop(
-            self.node.op, regs[self.a], regs[self.b], self.node
-        )
+    def apply(self, a, b):
+        return E.apply_binop(self.node.op, a, b, self.node)
+
+    def run(self, fr: Frame, regs) -> None:
+        a = regs[self.a]
+        b = regs[self.b]
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            nd = fr.lead + self.rank
+            regs[self.dst] = self.apply(_lift(a, nd), _lift(b, nd))
+        else:
+            regs[self.dst] = _scalar(fr, self.apply, a, b)
 
 
 class _Bool:
@@ -214,10 +296,8 @@ class _Bool:
         self.src = src
         self.shape = shape
 
-    def run(self, ip, regs) -> None:
-        regs[self.dst] = np.broadcast_to(
-            np.asarray(E._truthy(regs[self.src])), self.shape
-        )
+    def run(self, fr: Frame, regs) -> None:
+        regs[self.dst] = _bool_bcast(regs[self.src], fr.lead_shape + self.shape)
 
 
 class _Mask:
@@ -231,7 +311,7 @@ class _Mask:
         self.cond = cond
         self.invert = invert
 
-    def run(self, ip, regs) -> None:
+    def run(self, fr: Frame, regs) -> None:
         c = regs[self.cond]
         regs[self.dst] = regs[self.base] & (~c if self.invert else c)
 
@@ -245,12 +325,8 @@ class _TruthyInt:
         self.dst = dst
         self.src = src
 
-    def run(self, ip, regs) -> None:
-        v = E._truthy(regs[self.src])
-        if isinstance(v, np.ndarray):
-            regs[self.dst] = v.astype(np.int64)
-        else:
-            regs[self.dst] = int(v)
+    def run(self, fr: Frame, regs) -> None:
+        regs[self.dst] = _scalar(fr, _truthy_int, regs[self.src])
 
 
 class _Combine:
@@ -265,28 +341,28 @@ class _Combine:
         self.is_and = is_and
         self.shape = shape
 
-    def run(self, ip, regs) -> None:
+    def run(self, fr: Frame, regs) -> None:
         lbool = regs[self.lbool]
-        rbool = np.broadcast_to(
-            np.asarray(E._truthy(regs[self.right])), self.shape
-        )
-        if self.is_and:
-            regs[self.dst] = (lbool & rbool).astype(np.int64)
-        else:
-            regs[self.dst] = (lbool | rbool).astype(np.int64)
+        rbool = _bool_bcast(regs[self.right], fr.lead_shape + self.shape)
+        out = (lbool & rbool) if self.is_and else (lbool | rbool)
+        regs[self.dst] = out.astype(np.int64)
 
 
 class _Where:
-    __slots__ = ("dst", "cbool", "then", "els")
+    __slots__ = ("dst", "cbool", "then", "els", "rank")
 
-    def __init__(self, dst, cbool, then, els) -> None:
+    def __init__(self, dst, cbool, then, els, rank) -> None:
         self.dst = dst
         self.cbool = cbool
         self.then = then
         self.els = els
+        self.rank = rank
 
-    def run(self, ip, regs) -> None:
-        regs[self.dst] = np.where(regs[self.cbool], regs[self.then], regs[self.els])
+    def run(self, fr: Frame, regs) -> None:
+        nd = fr.lead + self.rank
+        regs[self.dst] = np.where(
+            regs[self.cbool], _lift(regs[self.then], nd), _lift(regs[self.els], nd)
+        )
 
 
 class _Gather:
@@ -321,21 +397,32 @@ class _Gather:
         self.idx = idx
         self.view_ok = view_ok
 
-    def run(self, ip, regs) -> None:
-        data = self.arr.data
+    def run(self, fr: Frame, regs) -> None:
+        data = fr.data(self.arr)
         if self.oob is not None:
             m = regs[self.mask]
             for ob in self.oob:
                 if ob is not None and np.any(ob & m):
                     E._bounds_check(self.node, self.subs, self.view_shape, m)
+        lead = fr.lead
         if self.shift is not None:
-            regs[self.dst] = commtiers.run_shifts(data, self.shift)
+            regs[self.dst] = commtiers.run_shifts(
+                data, [(a + lead, s, e) for a, s, e in self.shift]
+            )
             return
         if self.recipe is not None:
-            out = self.recipe.take(data)
+            out = self.recipe.take(data, lead)
             regs[self.dst] = out if self.view_ok else out.copy()
             return
-        regs[self.dst] = data[self.idx]
+        # index the lead axes explicitly rather than with a leading slice:
+        # pure advanced indexing keeps the copy C-contiguous (mixed
+        # basic/advanced indexing would interleave the lane axis innermost,
+        # which wrecks the memory layout of every downstream ufunc)
+        width = self.idx[0].ndim
+        lanes = tuple(
+            np.arange(d).reshape((d,) + (1,) * width) for d in fr.lead_shape
+        )
+        regs[self.dst] = data[lanes + self.idx]
 
 
 class _Scatter:
@@ -352,6 +439,7 @@ class _Scatter:
         "oob",
         "flat",
         "unique",
+        "dense",
     )
 
     def __init__(
@@ -367,21 +455,39 @@ class _Scatter:
         self.oob = oob
         self.flat = flat
         self.unique = unique
+        #: the grid writes every element of the view in storage order
+        self.dense = bool(
+            flat.size == int(np.prod(view_shape))
+            and np.array_equal(flat, np.arange(flat.size))
+        )
 
-    def run(self, ip, regs) -> None:
-        data = self.arr.data
+    def run(self, fr: Frame, regs) -> None:
+        data = fr.data(self.arr)
         mask = regs[self.mask]
         if self.oob is not None:
             for ob in self.oob:
                 if ob is not None and np.any(ob & mask):
                     E._bounds_check(self.node, self.subs, self.view_shape, mask)
-        value = regs[self.val]
+        value = _lift(regs[self.val], mask.ndim)
+        if self.dense and isinstance(value, np.ndarray) and mask.all():
+            # full-mask store in storage order: a cast copy, no fancy indexing
+            vals = np.broadcast_to(value, mask.shape).reshape(data.shape)
+            np.copyto(data, E._cast_array(vals, data.dtype))
+            fr.invalidate(self.node.base)
+            return
+        n_lanes = mask.size // self.flat.size
+        flat = self.flat
+        if n_lanes > 1:
+            # per-lane flat indices offset into the stacked array: lane
+            # blocks are disjoint, so unique solo indices stay unique
+            view_size = data.size // n_lanes
+            flat = (flat + (np.arange(n_lanes) * view_size)[:, None]).reshape(-1)
         flat_mask = mask.reshape(-1)
-        flat_idx = self.flat[flat_mask]
+        flat_idx = flat[flat_mask]
         if isinstance(value, np.ndarray):
-            vals = np.broadcast_to(value, self.grid_shape).reshape(-1)[flat_mask]
+            vals = np.broadcast_to(value, mask.shape)[mask]
         else:
-            vals = np.full(int(flat_mask.sum()), value)
+            vals = np.full(flat_idx.size, value)
         vals = E._cast_array(vals, data.dtype)
         if not self.unique:
             E._check_single_assignment(
@@ -391,55 +497,186 @@ class _Scatter:
                 grid_shape=self.grid_shape,
                 flat_mask=flat_mask,
                 view_shape=self.view_shape,
-                construct=getattr(ip, "current_construct", None),
+                construct=getattr(fr.ip, "current_construct", None),
             )
         data.reshape(-1)[flat_idx] = vals
-        ip.cse_invalidate(self.node.base)
+        fr.invalidate(self.node.base)
 
 
 class _AssignScalar:
     """Masked parallel write to a front-end scalar (all lanes must agree)."""
 
-    __slots__ = ("var", "val", "mask", "grid_shape", "node")
+    __slots__ = ("var", "val", "mask", "node")
 
-    def __init__(self, var, val, mask, grid_shape, node) -> None:
+    def __init__(self, var, val, mask, node) -> None:
         self.var = var
         self.val = val
         self.mask = mask
-        self.grid_shape = grid_shape
         self.node = node
 
-    def run(self, ip, regs) -> None:
-        value = regs[self.val]
-        var = self.var
-        if not isinstance(value, np.ndarray):
-            from .values import coerce_scalar
-
-            var.value = coerce_scalar(var.ctype, value)
-            ip.cse_invalidate(var.name)
-            return
-        mask = regs[self.mask]
-        vals = np.broadcast_to(value, self.grid_shape)[mask]
-        if vals.size == 0:  # pragma: no cover - fused arms are np.any-gated
-            return
-        if np.any(vals != vals.reshape(-1)[0]):
-            flat = vals.reshape(-1)
+    def agreed(self, vals: np.ndarray, mask: np.ndarray):
+        """The one value every enabled element assigns (UC101 otherwise)."""
+        flat = vals[mask]
+        if flat.size == 0:
+            return _NO_WRITE
+        if np.any(flat != flat[0]):
             other = flat[flat != flat[0]][0]
-            from ..lang.errors import UCMultipleAssignmentError
-
             raise UCMultipleAssignmentError(
                 f"[UC101] par assigns multiple distinct values to scalar "
-                f"{var.name!r} (values {flat[0].item()!r} and "
+                f"{self.var.name!r} (values {flat[0].item()!r} and "
                 f"{other.item()!r}); reduce the grid value first ($+, $min, "
                 "...) or make the choice explicit with the $, operator "
                 "(paper §3.4)",
                 self.node.line,
                 self.node.col,
             )
-        from .values import coerce_scalar
+        return flat[0]
 
-        var.value = coerce_scalar(var.ctype, vals.reshape(-1)[0])
-        ip.cse_invalidate(var.name)
+    def run(self, fr: Frame, regs) -> None:
+        value = regs[self.val]
+        if isinstance(value, np.ndarray):
+            mask = regs[self.mask]
+            value = fr.lanes(self.agreed, np.broadcast_to(value, mask.shape), mask)
+        fr.assign(self.var, value)
+
+
+# ---------------------------------------------------------------------------
+# blocked reductions
+# ---------------------------------------------------------------------------
+
+#: elementwise binary ops apply_binop maps 1:1 onto a ufunc with no
+#: dtype munging — eligible to fuse into a blocked reduce
+_BLOCKED_BINOPS = frozenset({"+", "-", "*", "&", "|", "^", "<<", ">>"})
+
+#: target elements for the blocked-reduce temporary (512 KB of int64):
+#: big enough to amortise the python loop, small enough to stay in
+#: cache instead of making the DRAM round trip the unblocked path pays
+_BLOCK_TMP_ELEMS = 1 << 16
+
+#: byte budget for the integer-path temporary slab (same 512 KB; int32
+#: narrowing doubles the element count that fits)
+_BLOCK_TMP_BYTES = 1 << 19
+
+_INT32_MIN = -(2**31)
+_INT32_MAX = 2**31 - 1
+
+#: never scan more than this many real elements for narrowing bounds —
+#: a fully materialised operand would cost more to scan than we save
+_BOUNDS_SCAN_MAX = 1 << 17
+
+
+def _condensed(arr: np.ndarray) -> np.ndarray:
+    """View with broadcast (stride-0) axes collapsed to length 1.
+
+    Covers each distinct memory element exactly once, so min/max bounds
+    cost O(real data), not O(logical size), and an ``astype`` of the
+    result copies only the real data before re-broadcasting.
+    """
+    idx = tuple(
+        slice(0, 1) if s == 0 and d > 1 else slice(None)
+        for s, d in zip(arr.strides, arr.shape)
+    )
+    return arr[idx]
+
+
+def _int32_window(op: str, red_op: str, bounds_a, bounds_b, red_extent: int):
+    """True when evaluating ``a op b`` then ``red_op``-reducing in int32
+    is bit-identical to int64: interval arithmetic proves every operand,
+    every elementwise result and every partial reduction fits in int32
+    (so no wraparound can occur in either width)."""
+    lo_a, hi_a = bounds_a
+    lo_b, hi_b = bounds_b
+    for x in (lo_a, hi_a, lo_b, hi_b):
+        if not (_INT32_MIN <= x <= _INT32_MAX):
+            return False
+    if op == "+":
+        lo, hi = lo_a + lo_b, hi_a + hi_b
+    elif op == "-":
+        lo, hi = lo_a - hi_b, hi_a - lo_b
+    elif op == "*":
+        prods = (lo_a * lo_b, lo_a * hi_b, hi_a * lo_b, hi_a * hi_b)
+        lo, hi = min(prods), max(prods)
+    elif op in ("&", "|", "^"):
+        # int32-representable operands are closed under bitwise ops
+        # (sign extension commutes with &, | and ^)
+        lo, hi = _INT32_MIN, _INT32_MAX
+    else:
+        return False  # shifts: overflow analysis not worth the cases
+    if not (_INT32_MIN <= lo and hi <= _INT32_MAX):
+        return False
+    if red_op in ("min", "max"):
+        return True  # result stays within the element bounds
+    if red_op == "add":
+        # every partial sum is bounded by extent x the signed extremes
+        return (
+            _INT32_MIN <= red_extent * min(lo, 0)
+            and red_extent * max(hi, 0) <= _INT32_MAX
+        )
+    return False  # "mul": products explode past any useful bound
+
+
+def _block_operands(a, b, shape):
+    """The two operands of a blocked reduce, broadcast to ``shape``, and
+    their common dtype; None when numpy would not compute the binary in
+    plain int64/float64."""
+    ops = []
+    kinds = []
+    for v in (a, b):
+        v = _lift(v, len(shape))
+        if isinstance(v, np.ndarray):
+            if v.dtype not in (np.dtype(np.int64), np.dtype(np.float64)):
+                return None
+            ops.append(np.broadcast_to(v, shape))
+            kinds.append(v.dtype)
+        elif isinstance(v, (bool, np.bool_)):
+            return None
+        elif isinstance(v, (int, np.integer)):
+            if not (-(2**63) <= int(v) < 2**63):
+                return None  # numpy would object-promote
+            ops.append(int(v))
+            kinds.append(int(v))
+        elif isinstance(v, (float, np.floating)):
+            ops.append(float(v))
+            kinds.append(float(v))
+        else:
+            return None
+    try:
+        dtype = np.result_type(*kinds)
+    except TypeError:
+        return None
+    if dtype not in (np.dtype(np.int64), np.dtype(np.float64)):
+        return None
+    return ops, dtype
+
+
+def _slab_reduce(bin_ufunc, red_ufunc, ops, shape, red_axes, block_axis,
+                 width, out, out_block_pos, dtype) -> None:
+    """``out = red_ufunc.reduce(bin_ufunc(*ops), red_axes)``, computed
+    ``width`` positions of ``block_axis`` (a non-reduced axis) at a time
+    through one reused temporary slab."""
+    extent = shape[block_axis]
+    tmp_shape = list(shape)
+    tmp_shape[block_axis] = width
+    tmp = np.empty(tuple(tmp_shape), dtype=dtype)
+    sl_in = [slice(None)] * len(shape)
+    sl_out = [slice(None)] * out.ndim
+    for k0 in range(0, extent, width):
+        w = min(width, extent - k0)
+        sl_in[block_axis] = slice(k0, k0 + w)
+        sl_out[out_block_pos] = slice(k0, k0 + w)
+        tsl = sl_in.copy()
+        tsl[block_axis] = slice(0, w)
+        t = tmp[tuple(tsl)]
+        a, b = (
+            o[tuple(sl_in)] if isinstance(o, np.ndarray) else o for o in ops
+        )
+        bin_ufunc(a, b, out=t)
+        out[tuple(sl_out)] = red_ufunc.reduce(t, axis=red_axes)
+
+
+# ---------------------------------------------------------------------------
+# the reduction step
+# ---------------------------------------------------------------------------
 
 
 class _Reduce:
@@ -481,15 +718,15 @@ class _Reduce:
         #: [(pred_steps|None, pred_out, arm_mask_reg, expr_steps, expr_out)]
         self.arms = arms
         self.others = others  # (steps, out, others_mask_reg) | None
-        #: UC501 determinism verdict: the batch engine may reorder the
-        #: blocked combine only when the analyzer proved it order-safe
+        #: UC501 determinism verdict: the blocked combine may reorder the
+        #: reduction only when the analyzer proved it order-safe
         self.order_safe = order_safe
 
-    def run(self, ip, regs) -> None:
+    def run(self, fr: Frame, regs) -> None:
         m = regs[self.mask]
-        base = np.broadcast_to(
-            m.reshape(m.shape + (1,) * self.n_sets), self.inner_shape
-        )
+        shape = fr.lead_shape + self.inner_shape
+        axes = _lead_axes(self.reduce_axes, fr.lead)
+        base = np.broadcast_to(m.reshape(m.shape + (1,) * self.n_sets), shape)
         regs[self.base] = base
         if (
             len(self.arms) == 1
@@ -497,25 +734,13 @@ class _Reduce:
             and self.others is None
             and bool(np.all(m))
         ):
-            # all lanes enabled, one unconditional arm: ``np.where(mask,
+            # all elements enabled, one unconditional arm: ``np.where(mask,
             # v, identity)`` is the identity map, so reduce the operand
             # directly.  Same astype chain as ``_reduce_op`` → identical
             # values and dtype.
             _ps, _po, amreg, esteps, eout = self.arms[0]
             regs[amreg] = base
-            for s in esteps:
-                s.run(ip, regs)
-            val = np.broadcast_to(np.asarray(regs[eout]), self.inner_shape)
-            ufunc = E._RED_UFUNC[self.op]
-            logical = self.op in ("logand", "logor", "logxor")
-            dtype = E._result_dtype(self.op, [val])
-            v = val.astype(bool) if logical else (
-                val.astype(dtype) if val.dtype != dtype else val
-            )
-            total = ufunc.reduce(v, axis=self.reduce_axes) if self.reduce_axes else v
-            regs[self.dst] = np.asarray(total).astype(
-                np.int64 if logical else dtype
-            )
+            regs[self.dst] = self._reduce_all(fr, regs, esteps, eout, shape, axes)
             return
         arm_values: List[np.ndarray] = []
         arm_masks: List[np.ndarray] = []
@@ -525,34 +750,156 @@ class _Reduce:
                 am = base
             else:
                 for s in psteps:
-                    s.run(ip, regs)
-                pv = np.broadcast_to(
-                    np.asarray(E._truthy(regs[pout])), self.inner_shape
-                )
+                    s.run(fr, regs)
+                pv = _bool_bcast(regs[pout], shape)
                 am = base & pv
                 union = pv if union is None else (union | pv)
             regs[amreg] = am
             for s in esteps:
-                s.run(ip, regs)
-            arm_values.append(
-                np.broadcast_to(np.asarray(regs[eout]), self.inner_shape)
-            )
+                s.run(fr, regs)
+            arm_values.append(self._operand(regs[eout], shape))
             arm_masks.append(am)
         if self.others is not None:
             osteps, oout, omreg = self.others
-            om = base & (
-                ~union if union is not None else np.zeros(self.inner_shape, bool)
-            )
+            om = base & (~union if union is not None else np.zeros(shape, bool))
             regs[omreg] = om
             for s in osteps:
-                s.run(ip, regs)
-            arm_values.append(
-                np.broadcast_to(np.asarray(regs[oout]), self.inner_shape)
-            )
+                s.run(fr, regs)
+            arm_values.append(self._operand(regs[oout], shape))
             arm_masks.append(om)
-        regs[self.dst] = E._reduce_op(
-            self.op, arm_values, arm_masks, self.reduce_axes
+        regs[self.dst] = E._reduce_op(self.op, arm_values, arm_masks, axes)
+
+    @staticmethod
+    def _operand(v, shape) -> np.ndarray:
+        return np.broadcast_to(np.asarray(_lift(v, len(shape))), shape)
+
+    def _reduce_all(self, fr, regs, esteps, eout, shape, axes):
+        """Reduce one unmasked operand, blocked when its grid is large."""
+        block = self._block_plan(esteps, eout, shape, axes)
+        if block is not None:
+            for s in esteps[:-1]:
+                s.run(fr, regs)
+            last = esteps[-1]
+            out = self._blocked(last, regs, shape, axes, *block)
+            if out is not None:
+                return out
+            esteps = (last,)
+        for s in esteps:
+            s.run(fr, regs)
+        val = self._operand(regs[eout], shape)
+        ufunc = E._RED_UFUNC[self.op]
+        logical = self.op in ("logand", "logor", "logxor")
+        dtype = E._result_dtype(self.op, [val])
+        v = val.astype(bool) if logical else (
+            val.astype(dtype) if val.dtype != dtype else val
         )
+        total = ufunc.reduce(v, axis=axes) if axes else v
+        return np.asarray(total).astype(np.int64 if logical else dtype)
+
+    def _block_plan(self, esteps, eout, shape, axes):
+        """(block_axis, elements per block-axis position) when the
+        operand's trailing elementwise binary can fuse into a slab-blocked
+        reduce, else None.
+
+        Eligible: a non-logical reduction over a grid bigger than two
+        slabs whose operand ends in a plain ufunc binary, with a
+        non-reduced axis wide enough to cut into several slabs.
+        """
+        if not axes or not esteps:
+            return None
+        last = esteps[-1]
+        if not isinstance(last, _Binary) or last.dst != eout:
+            return None
+        if last.node.op not in _BLOCKED_BINOPS:
+            return None
+        if self.op in ("logand", "logor", "logxor") or self.op not in E._RED_UFUNC:
+            return None
+        total = int(np.prod(shape))
+        if total <= 2 * _BLOCK_TMP_ELEMS:
+            return None  # already cache-sized; blocking only adds overhead
+        # slab along the widest non-reduced axis
+        out_axes = [i for i in range(len(shape)) if i not in axes]
+        block_axis = max(out_axes, key=lambda i: shape[i], default=None)
+        if block_axis is None or shape[block_axis] < 2:
+            return None
+        per_unit = total // shape[block_axis]
+        width = max(1, _BLOCK_TMP_ELEMS // max(1, per_unit))
+        if width >= shape[block_axis]:
+            return None
+        return block_axis, per_unit
+
+    def _blocked(self, last: _Binary, regs, shape, axes, block_axis, per_unit):
+        """Evaluate ``last`` fused into the reduction, slab by slab along
+        ``block_axis``, so the full operand never hits DRAM; None when the
+        operand dtypes rule it out (the caller then runs ``last``).
+
+        Because the blocking axis is not reduced over, each output element
+        still reduces its complete, contiguous input run in one ufunc call
+        — the grouping (and hence numpy's pairwise float summation order)
+        is untouched, so the result is bit-identical to the unblocked
+        evaluation for every dtype.
+        """
+        got = _block_operands(regs[last.a], regs[last.b], shape)
+        if got is None:
+            return None
+        ops, dtype = got
+        if dtype != E._result_dtype(self.op, [np.empty(0, dtype)]):
+            return None  # the unblocked path would astype before reducing
+        bin_ufunc = E._SIMPLE_BINOPS[last.node.op]
+        red_ufunc = E._RED_UFUNC[self.op]
+        out_axes = [i for i in range(len(shape)) if i not in axes]
+        result = np.empty(tuple(shape[i] for i in out_axes), dtype=dtype)
+        out_block_pos = out_axes.index(block_axis)
+        if not (dtype == np.dtype(np.int64) and self.order_safe):
+            # float64 — and int64 without a UC501 proof: keep the reduced
+            # axes innermost and the original pairwise grouping.  Float
+            # reduction order is observable, so only grouping-preserving
+            # blocking is bit-identical; for unproven int64 sites it is the
+            # verdict-mandated order-preserving fallback (integers exact).
+            width = max(1, _BLOCK_TMP_ELEMS // max(1, per_unit))
+            _slab_reduce(bin_ufunc, red_ufunc, ops, shape, axes, block_axis,
+                         width, result, out_block_pos, dtype)
+            return result
+        # The reordering below is legal only under the site's UC501
+        # determinism verdict (stamped onto the step at fuse-compile time
+        # from repro.analysis.determinism — min/max always; int add/mul,
+        # exact mod 2^64).  Put the reduced axes OUTERMOST: numpy then
+        # reduces by vectorised accumulation over long contiguous output
+        # rows instead of one short run per output element.  When interval
+        # bounds prove every elementwise result and partial reduction fits
+        # in int32, compute in int32 (half the slab traffic) and upcast
+        # the block result exactly.
+        red_extent = 1
+        for ax in axes:
+            red_extent *= shape[ax]
+        work = np.dtype(np.int64)
+        arrays = [o for o in ops if isinstance(o, np.ndarray)]
+        if all(_condensed(o).size <= _BOUNDS_SCAN_MAX for o in arrays):
+            bounds = []
+            for o in ops:
+                if isinstance(o, np.ndarray):
+                    c = _condensed(o)
+                    bounds.append((int(c.min()), int(c.max())))
+                else:
+                    bounds.append((int(o), int(o)))
+            if _int32_window(last.node.op, self.op, bounds[0], bounds[1], red_extent):
+                work = np.dtype(np.int32)
+        perm = tuple(axes) + tuple(out_axes)
+        t_ops = []
+        for o in ops:
+            if not isinstance(o, np.ndarray):
+                t_ops.append(work.type(o))
+                continue
+            if o.dtype != work:
+                o = np.broadcast_to(_condensed(o).astype(work), shape)
+            t_ops.append(o.transpose(perm))
+        n_red = len(axes)
+        width = max(1, _BLOCK_TMP_BYTES // max(1, per_unit * work.itemsize))
+        width = min(width, shape[block_axis])
+        _slab_reduce(bin_ufunc, red_ufunc, t_ops, tuple(shape[ax] for ax in perm),
+                     tuple(range(n_red)), n_red + out_block_pos, width, result,
+                     out_block_pos, work)
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -966,8 +1313,6 @@ class _Fuser:
             raise _Demote()
         self._alu(g)
         if v.static is not _DYN:
-            from .plan import _UnaryPlan
-
             try:
                 folded = _UnaryPlan._apply(node, v.static)
             except UCRuntimeError:
@@ -988,7 +1333,7 @@ class _Fuser:
                 raise _Demote()
             return self.static_val(folded)
         r = self.reg()
-        self.steps.append(_Binary(r, a.reg, b.reg, node))
+        self.steps.append(_Binary(r, a.reg, b.reg, node, len(g.shape)))
         return _Val(r, a.is_array or b.is_array, _DYN)
 
     def _compile_shortcircuit(self, node, g, mask_reg, token, view_ok) -> _Val:
@@ -1071,7 +1416,7 @@ class _Fuser:
                 np.where(cb.static, then_v.static, else_v.static)
             )
         r = self.reg()
-        self.steps.append(_Where(r, cb.reg, then_v.reg, else_v.reg))
+        self.steps.append(_Where(r, cb.reg, then_v.reg, else_v.reg, len(g.shape)))
         return _Val(r, True, _DYN)
 
     # -- array references --------------------------------------------------
@@ -1247,6 +1592,7 @@ class _Fuser:
                             left=node.target,
                             right=node.value,
                         ),
+                        len(g.shape),
                     )
                 )
                 value = _Val(r, current.is_array or value.is_array, _DYN)
@@ -1264,7 +1610,7 @@ class _Fuser:
             self._charge("host_cm_latency")
         else:
             self._charge("host")
-        self.steps.append(_AssignScalar(b, value.reg, mask_reg, g.shape, node))
+        self.steps.append(_AssignScalar(b, value.reg, mask_reg, node))
         self.sim_invalidate(target.ident)
         return value
 
@@ -1412,11 +1758,12 @@ class _Fuser:
 
 
 class _Sweep:
-    """Per-sweep state: the register file and the arm masks."""
+    """Per-sweep state: the frame, the register file and the arm masks."""
 
-    __slots__ = ("regs", "masks", "union")
+    __slots__ = ("frame", "regs", "masks", "union")
 
-    def __init__(self, regs, masks, union) -> None:
+    def __init__(self, frame, regs, masks, union) -> None:
+        self.frame = frame
         self.regs = regs
         self.masks = masks
         self.union = union
@@ -1554,48 +1901,47 @@ class FusedConstruct:
         """Map binding name -> the (step, attribute) slots holding it,
         including steps nested inside :class:`_Reduce` arms."""
         slots: Dict[str, List[Tuple[Any, str]]] = {}
+        for s in self.steps():
+            if isinstance(s, (_ReadScalar, _AssignScalar)):
+                attr = "var"
+            elif isinstance(s, (_Gather, _Scatter)):
+                attr = "arr"
+            else:
+                continue
+            slots.setdefault(getattr(s, attr).name, []).append((s, attr))
+        return slots
 
-        def note(step: Any, attr: str) -> None:
-            slots.setdefault(getattr(step, attr).name, []).append((step, attr))
+    def steps(self):
+        """Every step of every register program, reduction arms included."""
 
-        def walk(steps) -> None:
+        def walk(steps):
             for s in steps:
-                if isinstance(s, (_ReadScalar, _AssignScalar)):
-                    note(s, "var")
-                elif isinstance(s, (_Gather, _Scatter)):
-                    note(s, "arr")
-                elif isinstance(s, _Reduce):
+                yield s
+                if isinstance(s, _Reduce):
                     for psteps, _po, _am, esteps, _eo in s.arms:
-                        if psteps is not None:
-                            walk(psteps)
-                        walk(esteps)
+                        yield from walk(psteps or ())
+                        yield from walk(esteps)
                     if s.others is not None:
-                        walk(s.others[0])
+                        yield from walk(s.others[0])
 
         for prog in self.pred_progs:
             if prog is not None:
-                walk(prog[1])
-        for segs in self.arm_segments:
+                yield from walk(prog[1])
+        for segs in self.arm_segments + (self.others_segments or (),):
             for seg in segs:
                 if seg[0] == "f":
-                    walk(seg[2])
-        if self.others_segments is not None:
-            for seg in self.others_segments:
-                if seg[0] == "f":
-                    walk(seg[2])
-        return slots
+                    yield from walk(seg[2])
 
     # -- execution ---------------------------------------------------------
 
-    def begin_sweep(self, ip, inner) -> _Sweep:
-        """Evaluate arm predicates (the ``_block_masks`` phase)."""
+    def start(self, fr: Frame, base: np.ndarray) -> _Sweep:
+        """Load the register file and evaluate the arm predicates (the
+        ``_block_masks`` phase) over ``base``, the active mask with the
+        frame's lead axes in front."""
         regs: List[Any] = [None] * self.n_regs
         for r, v in self.consts:
             regs[r] = v
-        base = inner.active_mask()
         regs[self.base_reg] = base
-        clock = ip.machine.clock
-        shape = self.shape
         masks: List[np.ndarray] = []
         union: Optional[np.ndarray] = None
         for prog in self.pred_progs:
@@ -1603,37 +1949,43 @@ class FusedConstruct:
                 masks.append(base)
                 continue
             charges, steps, out = prog
-            _replay(clock, charges)
-            clock.count_fusion("charge_table_hits")
+            fr.charge(charges)
             for s in steps:
-                s.run(ip, regs)
-            pb = np.broadcast_to(np.asarray(E._truthy(regs[out])), shape)
+                s.run(fr, regs)
+            pb = _bool_bcast(regs[out], base.shape)
             masks.append(base & pb)
             union = pb if union is None else (union | pb)
-        return _Sweep(regs, masks, union)
+        return _Sweep(fr, regs, masks, union)
+
+    def run_arm(self, sweep: _Sweep, segs, mask_reg: int, mask, inner) -> None:
+        """Run one arm body's segments under ``mask``; unfused segments
+        run their plan closure in ``inner`` (solo sweeps only)."""
+        fr = sweep.frame
+        regs = sweep.regs
+        regs[mask_reg] = mask
+        sub = None
+        for seg in segs:
+            if seg[0] == "f":
+                fr.charge(seg[1])
+                for s in seg[2]:
+                    s.run(fr, regs)
+            else:
+                if sub is None:
+                    sub = inner.with_mask(mask)
+                seg[1](fr.ip, sub)
+
+    def begin_sweep(self, ip, inner) -> _Sweep:
+        """Start one solo sweep: the predicates over the active mask."""
+        return self.start(Frame(ip), inner.active_mask())
 
     def run_body(self, ip, inner, sweep: _Sweep) -> bool:
         """Run the arm bodies and others clause; returns whether any ran."""
-        clock = ip.machine.clock
-        regs = sweep.regs
         ran = False
         for k, segs in enumerate(self.arm_segments):
             mask = sweep.masks[k]
-            if not np.any(mask):
-                continue
-            ran = True
-            regs[self.arm_mask_regs[k]] = mask
-            sub = None
-            for seg in segs:
-                if seg[0] == "f":
-                    _replay(clock, seg[1])
-                    clock.count_fusion("charge_table_hits")
-                    for s in seg[2]:
-                        s.run(ip, regs)
-                else:
-                    if sub is None:
-                        sub = inner.with_mask(mask)
-                    seg[1](ip, sub)
+            if np.any(mask):
+                ran = True
+                self.run_arm(sweep, segs, self.arm_mask_regs[k], mask, inner)
         if self.others_segments is not None:
             base = inner.active_mask()
             om = base & (
@@ -1643,19 +1995,10 @@ class FusedConstruct:
             )
             if np.any(om):
                 ran = True
-                regs[self.others_mask_reg] = om
-                sub = None
-                for seg in self.others_segments:
-                    if seg[0] == "f":
-                        _replay(clock, seg[1])
-                        clock.count_fusion("charge_table_hits")
-                        for s in seg[2]:
-                            s.run(ip, regs)
-                    else:
-                        if sub is None:
-                            sub = inner.with_mask(om)
-                        seg[1](ip, sub)
-        clock.count_fusion("fused_sweeps")
+                self.run_arm(
+                    sweep, self.others_segments, self.others_mask_reg, om, inner
+                )
+        ip.machine.clock.count_fusion("fused_sweeps")
         return ran
 
 

@@ -256,15 +256,25 @@ class _IndexRecipe:
         self.expand = expand
         self.shape = shape
 
-    def take(self, data: np.ndarray) -> np.ndarray:
-        small = data[np.ix_(*self.vecs)]
+    def take(self, data: np.ndarray, lead: int = 0) -> np.ndarray:
+        """The gathered grid; ``lead`` leading axes of ``data`` (batch
+        lanes) ride along in front of the result."""
+        heads = [np.arange(d) for d in data.shape[:lead]]
+        small = data[np.ix_(*heads, *self.vecs)]
         if self.perm is not None:
-            small = small.transpose(self.perm)
+            small = small.transpose(
+                tuple(range(lead)) + tuple(p + lead for p in self.perm)
+            )
         if self.squeeze:
-            small = small.squeeze(axis=self.squeeze)
+            small = small.squeeze(axis=_lead_axes(self.squeeze, lead))
         if self.expand:
-            small = np.expand_dims(small, axis=self.expand)
-        return np.broadcast_to(small, self.shape)
+            small = np.expand_dims(small, axis=_lead_axes(self.expand, lead))
+        return np.broadcast_to(small, data.shape[:lead] + self.shape)
+
+
+def _lead_axes(axes: Tuple[int, ...], lead: int) -> Tuple[int, ...]:
+    """Grid axes shifted past ``lead`` leading (batch lane) axes."""
+    return tuple(a + lead for a in axes) if lead else axes
 
 
 #: verify recipes against the fancy-gather result only below this size —

@@ -447,8 +447,9 @@ class UCProgram:
         do: same program, same machine config) the batched lane engine
         executes fused ``*par``/``*solve`` sweeps once over a
         lane-stacked array instead of once per instance; anything the
-        batched path cannot model falls back to the sequential loop
-        (``REPRO_NO_BATCH=1`` forces that loop).
+        batched path cannot model falls back to the sequential loop.
+        Each result's ``compile["batched_lanes"]`` counts the lanes that
+        ran at least one lane-stacked sweep.
         """
         from .batch import run_batch as _run_batch
 

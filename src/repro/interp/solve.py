@@ -331,23 +331,36 @@ def _readiness(
 def _exec_solve_star(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     inner = enter_grid(ip, stmt, ctx)
     plans = _plans_for(ip, stmt, inner.grid)
-    modified = _modified_names(stmt)
     vps = ip.grid_vpset(inner.grid.shape)
     sess = frontier.star_session(ip, stmt, inner, "solve")
-    sweeps = 0
+    solve_star_sweeps(ip, stmt, inner, plans, sess, vps.vp_ratio)
+
+
+def solve_star_sweeps(
+    ip, stmt: ast.UCStmt, inner, plans, sess, vp_ratio: int, *, sweeps=0, states=None
+) -> None:
+    """The ``*solve`` sweep loop, from sweep number ``sweeps`` on.
+
+    ``states`` is a compressed sweep the caller already planned: the
+    batch engine enters here when a lane's frontier session leaves the
+    lockstep batch mid-construct.
+    """
+    modified = _modified_names(stmt)
     # the divergence diagnostic is only rendered if the sweep limit trips,
     # so keep a thunk for the last sweep instead of formatting every sweep
     summarize = _NO_SUMMARY
     while True:
         # sweeps complete atomically; between them is a safe cancel point
         ip.poll_boundary(stmt)
-        states = sess.plan_compressed() if sess is not None else None
+        if states is None and sess is not None:
+            states = sess.plan_compressed()
         if states is not None:
             # compressed sweep: evaluate only the lanes whose inputs
             # changed, charge only the active VP set (guarded to cost
             # strictly less than the measured full sweep)
             if not sess.run_compressed(states):
                 return
+            states = None
             summarize = sess.delta_summary
         else:
             before = _snapshot(inner, modified)
@@ -355,9 +368,9 @@ def _exec_solve_star(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
                 sess.full_begin()
             # the compiler saves intermediate state each sweep to detect the
             # fixed point — charge one extra ALU pass for the temporaries (§3.6)
-            ip.machine.clock.charge("alu", count=len(modified) or 1, vp_ratio=vps.vp_ratio)
+            ip.machine.clock.charge("alu", count=len(modified) or 1, vp_ratio=vp_ratio)
             _run_blocks_once(ip, stmt, inner, plans)
-            ip.machine.clock.charge("global_or", vp_ratio=vps.vp_ratio)
+            ip.machine.clock.charge("global_or", vp_ratio=vp_ratio)
             ip.machine.clock.charge("host_cm_latency")
             after = _snapshot(inner, modified)
             if sess is not None:

@@ -292,7 +292,16 @@ def _exec_for(ip, stmt: ast.For, ctx: ExecContext) -> None:
 
 
 def enter_grid(ip, stmt: ast.UCStmt, ctx: ExecContext) -> ExecContext:
-    """Extend the grid with the construct's index sets and bind elements."""
+    """Enter a construct: :func:`bind_grid`, then charge the context switch."""
+    inner = bind_grid(ip, stmt, ctx)
+    vps = ip.grid_vpset(inner.grid.shape)
+    ip.machine.clock.charge("context", count=2, vp_ratio=vps.vp_ratio)
+    return inner
+
+
+def bind_grid(ip, stmt: ast.UCStmt, ctx: ExecContext) -> ExecContext:
+    """Extend the grid with the construct's index sets and bind elements
+    (charges nothing)."""
     sets = [ip.resolve_index_set(name, ctx, at=stmt) for name in stmt.index_sets]
     grid = ctx.grid.extend(sets)
     env = ctx.env.child()
@@ -305,8 +314,6 @@ def enter_grid(ip, stmt: ast.UCStmt, ctx: ExecContext) -> ExecContext:
         )
     else:
         mask = None
-    vps = ip.grid_vpset(grid.shape)
-    ip.machine.clock.charge("context", count=2, vp_ratio=vps.vp_ratio)
     return ExecContext(grid, mask, env)
 
 
@@ -389,23 +396,36 @@ def exec_par(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     from . import frontier
 
     sess = frontier.star_session(ip, stmt, inner, "par")
-    sweeps = 0
     vps = ip.grid_vpset(inner.grid.shape)
+    par_star_sweeps(ip, stmt, inner, plans, sess, vps.vp_ratio)
+
+
+def par_star_sweeps(
+    ip, stmt: ast.UCStmt, inner, plans, sess, vp_ratio: int, *, sweeps=0, states=None
+) -> None:
+    """The ``*par`` sweep loop, from sweep number ``sweeps`` on.
+
+    ``states`` is a compressed sweep the caller already planned: the
+    batch engine enters here when a lane's frontier session leaves the
+    lockstep batch mid-construct.
+    """
+    from . import fuse
+
     while True:
         # sweeps complete atomically; between them is a safe cancel point
         ip.poll_boundary(stmt)
-        states = sess.plan_compressed() if sess is not None else None
+        if states is None and sess is not None:
+            states = sess.plan_compressed()
         if states is not None:
             # compressed sweep over the active lanes only; the cached
             # per-arm predicate masks (refreshed where re-evaluated)
             # decide termination exactly as the full union would
             if not sess.run_compressed(states):
                 return
+            states = None
         else:
             if sess is not None:
                 sess.full_begin()
-            from . import fuse
-
             fused = fuse.fused_for(ip, stmt, inner, plans)
             with ip.cse_arm():
                 if fused is not None:
@@ -413,7 +433,7 @@ def exec_par(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
                     masks = sweep.masks
                 else:
                     masks, _ = _block_masks(ip, stmt, inner, plans)
-                ip.machine.clock.charge("global_or", vp_ratio=vps.vp_ratio)
+                ip.machine.clock.charge("global_or", vp_ratio=vp_ratio)
                 ip.machine.clock.charge("host_cm_latency")
                 if not any(np.any(m) for m in masks):
                     return

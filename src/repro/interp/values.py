@@ -172,17 +172,18 @@ class SliceParam:
 
 
 class LaneScalars:
-    """A per-lane vector of scalar values for batched lane execution.
+    """One front-end scalar register value per lane of a batched sweep.
 
-    The batched executor (:mod:`repro.interp.batch`) evaluates one
-    register program over ``S`` program instances at once.  Scalars that
-    differ between lanes (solve parameters, per-lane reduction results)
-    are carried as a ``LaneScalars`` wrapping an ``(S,)`` object vector
-    of plain python ints/floats.  Mixing a ``LaneScalars`` with a lane-
-    stacked ndarray lifts it to shape ``(S, 1, ..., 1)`` so numpy
-    broadcasting applies it lane-wise; scalar-scalar arithmetic is done
-    per lane in python, preserving solo scalar semantics exactly
-    (arbitrary precision, division-by-zero errors).
+    When ``run_batch`` runs a fused register program over a chunk of
+    ``n`` lanes (:mod:`repro.interp.batch`), a scalar register whose
+    value differs between lanes (a per-lane parameter, or anything
+    computed from one) holds a ``LaneScalars`` of ``n`` plain python
+    ints/floats; a value all lanes share stays a plain scalar.  The
+    fused steps combine it with an array by :meth:`lifted` to the
+    array's lane-stacked rank, so numpy applies it lane-wise, and with
+    other scalars one lane at a time in python, which keeps solo scalar
+    semantics exactly (arbitrary precision, division-by-zero errors).
+    Lanes whose arm is idle in the current sweep hold 0.
     """
 
     __slots__ = ("values",)
@@ -190,17 +191,10 @@ class LaneScalars:
     def __init__(self, values: Sequence) -> None:
         self.values = list(values)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def lifted(self, ndim: int) -> np.ndarray:
-        """As an ndarray of shape ``(S, 1, ..., 1)`` with ``ndim`` dims."""
+        """As an ndarray of shape ``(n, 1, ..., 1)`` with ``ndim`` dims."""
         arr = np.asarray(self.values)
         return arr.reshape((len(self.values),) + (1,) * max(0, ndim - 1))
-
-    def compact(self, keep: Sequence[int]) -> "LaneScalars":
-        """A new ``LaneScalars`` holding only the lanes in ``keep``."""
-        return LaneScalars([self.values[i] for i in keep])
 
     def __repr__(self) -> str:
         return f"LaneScalars({self.values!r})"

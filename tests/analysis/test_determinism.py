@@ -211,6 +211,65 @@ class TestLegalityOracle:
             assert np.array_equal(a["dist"], b["dist"])
             assert a.fingerprint == b.fingerprint
 
+    SOLO_BLOCKED = {
+        "int-min-plus": (
+            "int N = 64;\nindex_set I:i = {0..N-1}, J:j = I, K:k = I;\n"
+            "int dist[64][64];\n"
+            "main { *solve (I, J) dist[i][j] = $<(K; dist[i][k] + dist[k][j]); }\n",
+            "dist",
+        ),
+        "float-sum": (
+            "int N = 64;\nindex_set I:i = {0..N-1}, J:j = I, K:k = I;\n"
+            "float f[64][64], x[64][64];\n"
+            "main { par (I, J) x[i][j] = $+(K; f[i][k] * f[k][j]); }\n",
+            "x",
+        ),
+    }
+
+    @pytest.mark.parametrize("forged", [False, True], ids=["proven", "forged"])
+    @pytest.mark.parametrize("name", sorted(SOLO_BLOCKED))
+    def test_solo_blocked_reduce_matches_oracle(self, name, forged, monkeypatch):
+        """Solo reductions above the blocking threshold take the slab-
+        blocked path; values and fingerprint stay bit-identical to the
+        tree oracle, with the UC501 verdicts honest or forged to
+        unproven (the grouping-preserving fallback)."""
+        from repro.interp import fuse as fuse_mod
+        from repro.interp.interpreter import Interpreter
+
+        monkeypatch.delenv("REPRO_NO_PLANS", raising=False)
+        monkeypatch.delenv("REPRO_NO_FUSION", raising=False)
+        if forged:
+            monkeypatch.setattr(
+                Interpreter, "reduction_order_safe", lambda self, node: False
+            )
+        slabs = []
+        orig = fuse_mod._slab_reduce
+
+        def spy(*args, **kwargs):
+            slabs.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(fuse_mod, "_slab_reduce", spy)
+        src, var = self.SOLO_BLOCKED[name]
+        rng = np.random.default_rng(3)
+        if var == "dist":
+            d = np.full((64, 64), 10**6, dtype=np.int64)
+            np.fill_diagonal(d, 0)
+            for a in range(63):
+                d[a, a + 1] = d[a + 1, a] = 1 + a % 5
+            inp = {"dist": d}
+        else:
+            inp = {"f": rng.standard_normal((64, 64))}
+        fused = UCProgram(src, compile_store=None).run(
+            {k: v.copy() for k, v in inp.items()}
+        )
+        assert slabs, "the solo reduction never took the blocked path"
+        oracle = UCProgram(src, compile_store=None, plans=False).run(
+            {k: v.copy() for k, v in inp.items()}
+        )
+        assert np.array_equal(fused[var], oracle[var])
+        assert fused.fingerprint == oracle.fingerprint
+
 
 # ---------------------------------------------------------------------------
 # the order-permuting sanitizer

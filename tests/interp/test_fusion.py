@@ -161,6 +161,12 @@ class TestBitEquality:
 
 
 class TestCounters:
+    @pytest.fixture(autouse=True)
+    def _plan_engine(self, monkeypatch):
+        # fusion counters exist only on the plan engine: pin it even when
+        # the suite runs under the tree-walking oracle (REPRO_NO_PLANS=1)
+        monkeypatch.delenv("REPRO_NO_PLANS", raising=False)
+
     def test_apsp_fuses_and_replays_charge_tables(self):
         r = run_uc(APSP, _apsp_input(), frontier=False)
         assert r.fusion["constructs"] == 1
@@ -237,6 +243,12 @@ class TestFaultFallback:
 
 
 class TestStatsCLI:
+    @pytest.fixture(autouse=True)
+    def _plan_engine(self, monkeypatch):
+        # fusion counters exist only on the plan engine: pin it even when
+        # the suite runs under the tree-walking oracle (REPRO_NO_PLANS=1)
+        monkeypatch.delenv("REPRO_NO_PLANS", raising=False)
+
     def test_run_stats_prints_fusion_counters(self, tmp_path, capsys):
         from repro.cli import main
 
