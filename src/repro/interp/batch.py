@@ -334,7 +334,7 @@ def _lane_ready(fused) -> bool:
         for seg in segs:
             if seg[0] != "f":
                 return False
-    return all(s.unique for s in fused.steps() if isinstance(s, _Scatter))
+    return all(s.map.unique for s in fused.steps() if isinstance(s, _Scatter))
 
 
 def _max_elems(fused) -> int:

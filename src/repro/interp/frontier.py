@@ -55,6 +55,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..compiler.cstar_gen import expr_to_text
 from ..compiler.solve_sched import affine_ref_axes
 from ..lang import ast
 from ..machine.config import HOST_KINDS
@@ -63,6 +64,7 @@ from ..machine.vpset import ratio_for
 from ..mapping.locality import classify_affine, classify_write_affine
 from . import commtiers
 from .eval_expr import _RED_UFUNC, _reduce_op, apply_binop
+from .functions import PURE_BUILTINS
 from .plan import lane_gather, lane_scatter
 from .values import ArrayVar, ElementBinding, ScalarVar
 
@@ -83,8 +85,6 @@ _FALLBACK = "frontier-fallback"
 #: reduction ops eligible for the delta (changed-slots-only) scan
 _DELTA_OPS = ("min", "max")
 
-_CALL_CHARGES = {"power2": 1, "abs": 1, "ABS": 1, "fabs": 1, "sqrt": 4, "min": 1, "max": 1}
-
 
 def _enabled(ip) -> bool:
     if not getattr(ip, "frontier_enabled", False):
@@ -93,33 +93,6 @@ def _enabled(ip) -> bool:
     # compressed sweeps replay charges without walking references, so
     # keep the log complete by running full sweeps while it is armed
     return getattr(ip, "tier_log", None) is None
-
-
-# ---------------------------------------------------------------------------
-# expression text (CSE-simulation keys)
-# ---------------------------------------------------------------------------
-
-
-def _text(e: ast.Expr) -> str:
-    if isinstance(e, ast.IntLit):
-        return str(e.value)
-    if isinstance(e, ast.FloatLit):
-        return repr(e.value)
-    if isinstance(e, ast.InfLit):
-        return "INF"
-    if isinstance(e, ast.Name):
-        return e.ident
-    if isinstance(e, ast.Unary):
-        return f"({e.op}{_text(e.operand)})"
-    if isinstance(e, ast.Binary):
-        return f"({_text(e.left)}{e.op}{_text(e.right)})"
-    if isinstance(e, ast.Ternary):
-        return f"({_text(e.cond)}?{_text(e.then)}:{_text(e.els)})"
-    if isinstance(e, ast.Index):
-        return e.base + "".join(f"[{_text(s)}]" for s in e.subs)
-    if isinstance(e, ast.Call):
-        return f"{e.func}({','.join(_text(a) for a in e.args)})"
-    return f"<{type(e).__name__}@{id(e)}>"
 
 
 def _pure(e: ast.Expr) -> bool:
@@ -355,7 +328,7 @@ class _Compiler:
             and isinstance(expr, (ast.Binary, ast.Index, ast.Unary, ast.Ternary))
             and _pure(expr)
         ):
-            key = (self._scope(), _text(expr))
+            key = (self._scope(), expr_to_text(expr))
             if key in self.cse_seen:
                 # the engine serves this subtree from its CSE cache: no
                 # charges, but the compressed evaluator still recomputes
@@ -523,50 +496,24 @@ class _Compiler:
         return fn, True
 
     def _compile_call(self, expr: ast.Call, entries: List):
-        name = expr.func
-        if name not in _CALL_CHARGES or name in self.ip.info.functions:
+        builtin = PURE_BUILTINS.get(expr.func)
+        if (
+            builtin is None
+            or expr.func in self.ip.info.functions
+            or len(expr.args) != builtin.arity
+        ):
             raise _NotFrontierable()  # user functions (or shadowed builtins)
-        want = 2 if name in ("min", "max") else 1
-        if len(expr.args) != want:
-            raise _NotFrontierable()
         fns = []
         is_arr = False
         for a in expr.args:
             f, arr = self.compile(a, entries)
             fns.append(f)
             is_arr = is_arr or arr
-        entries.append(("op", _CALL_CHARGES[name], self._scope()))
-        node = expr
+        entries.append(("op", builtin.alu, self._scope()))
+        value = builtin.value
 
         def fn(S, lanes):
-            vals = [f(S, lanes) for f in fns]
-            arrayish = any(isinstance(v, np.ndarray) for v in vals)
-            if name == "power2":
-                x = vals[0]
-                if arrayish:
-                    return np.left_shift(1, np.clip(x, 0, 62))
-                return 1 << max(0, int(x))
-            if name in ("abs", "ABS", "fabs"):
-                x = vals[0]
-                if arrayish:
-                    return np.abs(x)
-                return abs(x) if name != "fabs" else abs(float(x))
-            if name == "sqrt":
-                x = vals[0]
-                if arrayish:
-                    return np.sqrt(np.maximum(x, 0).astype(np.float64))
-                if x < 0:
-                    from ..lang.errors import UCRuntimeError
-
-                    raise UCRuntimeError(
-                        "sqrt of a negative value", node.line, node.col
-                    )
-                return float(x) ** 0.5
-            if name == "min":
-                a, b = vals
-                return np.minimum(a, b) if arrayish else min(a, b)
-            a, b = vals
-            return np.maximum(a, b) if arrayish else max(a, b)
+            return value(expr, *[f(S, lanes) for f in fns])
 
         return fn, is_arr
 

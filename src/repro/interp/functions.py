@@ -11,7 +11,7 @@ two array elements in parallel) cannot be written as a UC value function.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,6 +39,67 @@ from .values import (
 RAND_MAX = 2**31 - 1
 
 
+# ---------------------------------------------------------------------------
+# pure builtins
+# ---------------------------------------------------------------------------
+
+
+class Builtin(NamedTuple):
+    """A pure builtin: argument count, ALU operations charged per call,
+    and ``value(node, *args)`` over scalars or grid/lane arrays."""
+
+    arity: int
+    alu: int
+    value: Callable
+
+
+def _arrayish(*args) -> bool:
+    return any(isinstance(a, np.ndarray) for a in args)
+
+
+def _power2(node, x):
+    if isinstance(x, np.ndarray):
+        return np.left_shift(1, np.clip(x, 0, 62))
+    return 1 << max(0, int(x))
+
+
+def _abs(node, x):
+    return np.abs(x) if isinstance(x, np.ndarray) else abs(x)
+
+
+def _fabs(node, x):
+    return np.abs(x) if isinstance(x, np.ndarray) else abs(float(x))
+
+
+def _sqrt(node, x):
+    if isinstance(x, np.ndarray):
+        return np.sqrt(np.maximum(x, 0).astype(np.float64))
+    if x < 0:
+        raise UCRuntimeError("sqrt of a negative value", node.line, node.col)
+    return float(x) ** 0.5
+
+
+def _min(node, a, b):
+    return np.minimum(a, b) if _arrayish(a, b) else min(a, b)
+
+
+def _max(node, a, b):
+    return np.maximum(a, b) if _arrayish(a, b) else max(a, b)
+
+
+#: the builtins every engine evaluates the same way: the tree oracle
+#: below, compiled plans and the frontier's compressed sweeps
+PURE_BUILTINS = {
+    "power2": Builtin(1, 1, _power2),
+    "abs": Builtin(1, 1, _abs),
+    "ABS": Builtin(1, 1, _abs),
+    "fabs": Builtin(1, 1, _fabs),
+    "sqrt": Builtin(1, 4, _sqrt),  # iterative on the CM's ALUs
+    "min": Builtin(2, 1, _min),
+    "max": Builtin(2, 1, _max),
+}
+
+
 def call_function(ip, node: ast.Call, ctx: ExecContext) -> Value:
     name = node.func
     user_func: Optional[ast.FuncDef] = ip.info.functions.get(name)
@@ -46,36 +107,11 @@ def call_function(ip, node: ast.Call, ctx: ExecContext) -> Value:
         if ctx.grid.is_host:
             return _call_host(ip, user_func, node, ctx)
         return _call_parallel(ip, user_func, node, ctx)
-    if name == "power2":
-        x = eval_expr(ip, node.args[0], ctx)
-        charge_grid_op(ip, ctx)
-        if isinstance(x, np.ndarray):
-            return np.left_shift(1, np.clip(x, 0, 62))
-        return 1 << max(0, int(x))
-    if name in ("abs", "ABS", "fabs"):
-        x = eval_expr(ip, node.args[0], ctx)
-        charge_grid_op(ip, ctx)
-        if isinstance(x, np.ndarray):
-            return np.abs(x)
-        return abs(x) if name != "fabs" else abs(float(x))
-    if name == "sqrt":
-        x = eval_expr(ip, node.args[0], ctx)
-        charge_grid_op(ip, ctx, count=4)  # iterative on the CM's ALUs
-        if isinstance(x, np.ndarray):
-            return np.sqrt(np.maximum(x, 0).astype(np.float64))
-        if x < 0:
-            raise UCRuntimeError("sqrt of a negative value", node.line, node.col)
-        return float(x) ** 0.5
-    if name == "min":
-        a = eval_expr(ip, node.args[0], ctx)
-        b = eval_expr(ip, node.args[1], ctx)
-        charge_grid_op(ip, ctx)
-        return np.minimum(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else min(a, b)
-    if name == "max":
-        a = eval_expr(ip, node.args[0], ctx)
-        b = eval_expr(ip, node.args[1], ctx)
-        charge_grid_op(ip, ctx)
-        return np.maximum(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else max(a, b)
+    builtin = PURE_BUILTINS.get(name)
+    if builtin is not None:
+        args = [eval_expr(ip, a, ctx) for a in node.args]
+        charge_grid_op(ip, ctx, count=builtin.alu)
+        return builtin.value(node, *args)
     if name == "rand":
         charge_grid_op(ip, ctx)
         if ctx.grid.is_host:

@@ -1,7 +1,7 @@
 """Kernel fusion: lower a construct body to whole-array NumPy programs.
 
 The compiled-plan engine (:mod:`repro.interp.plan`) already memoises the
-expensive per-statement analyses (index recipes, tier decisions, charge
+expensive per-statement analyses (subscript maps, tier decisions, charge
 recipes), but the steady-state sweep loop still walks one Python closure
 per expression node per sweep.  This pass goes one step further, in the
 spirit of the paper's "UC compiles to tight data-parallel code" claim:
@@ -9,9 +9,10 @@ for an iterated construct it compiles the whole charge-and-compute
 statement sequence once, into
 
 * a **register program**: a flat list of steps over preallocated value
-  slots (``regs``).  Gathers and scatters embed the same ``np.ix_`` /
-  NEWS-shift recipes the plan memos would build, arithmetic becomes
-  direct ``numpy`` calls, guards become boolean mask registers; and
+  slots (``regs``).  Gathers and scatters hold the same kind of
+  :class:`~repro.interp.plan.RefMap` a plan memo holds (one lowering of
+  the subscripts, built by ``ref_map``), arithmetic becomes direct
+  ``numpy`` calls, guards become boolean mask registers; and
 * a **static charge table**: the exact ``Clock.charge`` /
   ``charge_scan`` / ``count_tier`` sequence each statement would issue,
   recorded once at compile time by running the real cost helpers against
@@ -77,14 +78,7 @@ from ..machine.scan import INF
 from ..mapping.locality import classify_reference, classify_write
 from . import commtiers
 from . import eval_expr as E
-from .plan import (
-    _VERIFY_LIMIT,
-    _UnaryPlan,
-    _build_index_recipe,
-    _lead_axes,
-    _oob_masks,
-    compile_stmt,
-)
+from .plan import _condensed, _lead_axes, _UnaryPlan, compile_stmt, ref_map
 from .values import ArrayVar, ElementBinding, LaneScalars, ScalarVar, coerce_scalar
 
 __all__ = ["fused_for", "Frame", "FusedConstruct"]
@@ -366,140 +360,46 @@ class _Where:
 
 
 class _Gather:
-    """One memoised array read, mirroring ``_GatherPlan``'s hit path."""
+    """One array read through its compiled :class:`~repro.interp.plan.RefMap`."""
 
-    __slots__ = (
-        "dst",
-        "node",
-        "arr",
-        "subs",
-        "view_shape",
-        "oob",
-        "mask",
-        "shift",
-        "recipe",
-        "idx",
-        "view_ok",
-    )
+    __slots__ = ("dst", "node", "arr", "mask", "map", "view_ok")
 
-    def __init__(
-        self, dst, node, arr, subs, view_shape, oob, mask, shift, recipe, idx, view_ok
-    ) -> None:
+    def __init__(self, dst, node, arr, mask, map_, view_ok) -> None:
         self.dst = dst
         self.node = node
         self.arr = arr
-        self.subs = subs
-        self.view_shape = view_shape
-        self.oob = oob
         self.mask = mask
-        self.shift = shift
-        self.recipe = recipe
-        self.idx = idx
+        self.map = map_
         self.view_ok = view_ok
 
     def run(self, fr: Frame, regs) -> None:
-        data = fr.data(self.arr)
-        if self.oob is not None:
-            m = regs[self.mask]
-            for ob in self.oob:
-                if ob is not None and np.any(ob & m):
-                    E._bounds_check(self.node, self.subs, self.view_shape, m)
-        lead = fr.lead
-        if self.shift is not None:
-            regs[self.dst] = commtiers.run_shifts(
-                data, [(a + lead, s, e) for a, s, e in self.shift]
-            )
-            return
-        if self.recipe is not None:
-            out = self.recipe.take(data, lead)
-            regs[self.dst] = out if self.view_ok else out.copy()
-            return
-        # index the lead axes explicitly rather than with a leading slice:
-        # pure advanced indexing keeps the copy C-contiguous (mixed
-        # basic/advanced indexing would interleave the lane axis innermost,
-        # which wrecks the memory layout of every downstream ufunc)
-        width = self.idx[0].ndim
-        lanes = tuple(
-            np.arange(d).reshape((d,) + (1,) * width) for d in fr.lead_shape
-        )
-        regs[self.dst] = data[lanes + self.idx]
+        self.map.check(self.node, regs[self.mask])
+        regs[self.dst] = self.map.take(fr.data(self.arr), fr.lead, self.view_ok)
 
 
 class _Scatter:
-    """One memoised masked write, mirroring ``_ScatterPlan``'s hit path."""
+    """One masked array write through its compiled
+    :class:`~repro.interp.plan.RefMap`."""
 
-    __slots__ = (
-        "node",
-        "arr",
-        "val",
-        "mask",
-        "grid_shape",
-        "view_shape",
-        "subs",
-        "oob",
-        "flat",
-        "unique",
-        "dense",
-    )
+    __slots__ = ("node", "arr", "val", "mask", "map")
 
-    def __init__(
-        self, node, arr, val, mask, grid_shape, view_shape, subs, oob, flat, unique
-    ) -> None:
+    def __init__(self, node, arr, val, mask, map_) -> None:
         self.node = node
         self.arr = arr
         self.val = val
         self.mask = mask
-        self.grid_shape = grid_shape
-        self.view_shape = view_shape
-        self.subs = subs
-        self.oob = oob
-        self.flat = flat
-        self.unique = unique
-        #: the grid writes every element of the view in storage order
-        self.dense = bool(
-            flat.size == int(np.prod(view_shape))
-            and np.array_equal(flat, np.arange(flat.size))
-        )
+        self.map = map_
 
     def run(self, fr: Frame, regs) -> None:
-        data = fr.data(self.arr)
         mask = regs[self.mask]
-        if self.oob is not None:
-            for ob in self.oob:
-                if ob is not None and np.any(ob & mask):
-                    E._bounds_check(self.node, self.subs, self.view_shape, mask)
-        value = _lift(regs[self.val], mask.ndim)
-        if self.dense and isinstance(value, np.ndarray) and mask.all():
-            # full-mask store in storage order: a cast copy, no fancy indexing
-            vals = np.broadcast_to(value, mask.shape).reshape(data.shape)
-            np.copyto(data, E._cast_array(vals, data.dtype))
-            fr.invalidate(self.node.base)
-            return
-        n_lanes = mask.size // self.flat.size
-        flat = self.flat
-        if n_lanes > 1:
-            # per-lane flat indices offset into the stacked array: lane
-            # blocks are disjoint, so unique solo indices stay unique
-            view_size = data.size // n_lanes
-            flat = (flat + (np.arange(n_lanes) * view_size)[:, None]).reshape(-1)
-        flat_mask = mask.reshape(-1)
-        flat_idx = flat[flat_mask]
-        if isinstance(value, np.ndarray):
-            vals = np.broadcast_to(value, mask.shape)[mask]
-        else:
-            vals = np.full(flat_idx.size, value)
-        vals = E._cast_array(vals, data.dtype)
-        if not self.unique:
-            E._check_single_assignment(
-                self.node,
-                flat_idx,
-                vals,
-                grid_shape=self.grid_shape,
-                flat_mask=flat_mask,
-                view_shape=self.view_shape,
-                construct=getattr(fr.ip, "current_construct", None),
-            )
-        data.reshape(-1)[flat_idx] = vals
+        self.map.check(self.node, mask)
+        self.map.store(
+            fr.data(self.arr),
+            _lift(regs[self.val], mask.ndim),
+            mask,
+            self.node,
+            getattr(fr.ip, "current_construct", None),
+        )
         fr.invalidate(self.node.base)
 
 
@@ -563,20 +463,6 @@ _INT32_MAX = 2**31 - 1
 #: never scan more than this many real elements for narrowing bounds —
 #: a fully materialised operand would cost more to scan than we save
 _BOUNDS_SCAN_MAX = 1 << 17
-
-
-def _condensed(arr: np.ndarray) -> np.ndarray:
-    """View with broadcast (stride-0) axes collapsed to length 1.
-
-    Covers each distinct memory element exactly once, so min/max bounds
-    cost O(real data), not O(logical size), and an ``astype`` of the
-    result copies only the real data before re-broadcasting.
-    """
-    idx = tuple(
-        slice(0, 1) if s == 0 and d > 1 else slice(None)
-        for s, d in zip(arr.strides, arr.shape)
-    )
-    return arr[idx]
 
 
 def _int32_window(op: str, red_op: str, bounds_a, bounds_b, red_extent: int):
@@ -1437,134 +1323,46 @@ class _Fuser:
             subs.append(sv.static)
         return subs
 
-    def _full_idx(self, subs, view_shape, grid_shape) -> Tuple[np.ndarray, ...]:
-        idx_arrays = []
-        for a, s in enumerate(subs):
-            if isinstance(s, np.ndarray):
-                clipped = np.clip(s, 0, view_shape[a] - 1)
-            else:
-                clipped = np.full(grid_shape, int(s), dtype=np.int64)
-            idx_arrays.append(np.broadcast_to(clipped, grid_shape))
-        return tuple(idx_arrays)
-
-    def _compile_gather(self, node, g, mask_reg, token, view_ok) -> _Val:
+    def _compile_ref(self, node, g, mask_reg, token, view_ok, write):
+        """Classify and lower one static array reference, recording its
+        charges; returns the array and its map."""
         arr = self._resolve_array(node, g)
         view_shape = arr.data.shape
         if len(node.subs) != len(view_shape):
             raise _Demote()  # the engine raises; keep the message path
         subs = self._static_subs(node, g, mask_reg, token, view_ok)
-        if any(
-            not isinstance(s, np.ndarray) and not 0 <= int(s) < view_shape[a]
-            for a, s in enumerate(subs)
-        ):
-            raise _Demote()  # always-raising bounds error
-        oob = _oob_masks(subs, view_shape, g.shape)
-        rc = classify_reference(
-            subs,
-            g.shape,
-            g.grid.axis_elems,
-            arr.layout,
-            positions=g.grid.positions,
+        classify = classify_write if write else classify_reference
+        rc = classify(
+            subs, g.shape, g.grid.axis_elems, arr.layout, positions=g.grid.positions
         )
         tier = commtiers.decide_tier(
-            rc, self.costs, write=False, enabled=self.ip.comm_tiers_enabled
+            rc, self.costs, write=write, enabled=self.ip.comm_tiers_enabled
         )
+        m = ref_map(
+            subs, view_shape, g.shape, rc=rc, tier=tier, write=write, compact=True
+        )
+        if m.always:
+            raise _Demote()  # always-raising bounds error
         rec = _Recorder()
         commtiers.charge_tier_at(
-            rec, tier, rc, write=False, vp_ratio=g.vp_ratio,
+            rec, tier, rc, write=write, vp_ratio=g.vp_ratio,
             grid_shape=tuple(g.shape), layout=arr.layout,
         )
         self.charges.extend(rec.entries)
-        shift = None
-        recipe = None
-        idx = None
-        if tier == "news":
-            shift = commtiers.shift_descriptor(rc, view_shape, g.shape)
-        if shift is None:
-            recipe = _build_index_recipe(subs, view_shape, g.shape)
-            grid_size = int(np.prod(g.shape))
-            idx_full = self._full_idx(subs, view_shape, g.shape)
-            # grid axes no subscript varies along (spreads, broadcasts,
-            # reduction operands): gather one representative slice and
-            # let downstream numpy broadcasting replicate it virtually.
-            # Values, tier verdict and charges are untouched — every
-            # consumer (_Binary/_Reduce/_Scatter/...) broadcasts, and
-            # fancy indexing copies, so no view can alias the array.
-            bcast = tuple(
-                a
-                for a in range(len(g.shape))
-                if g.shape[a] > 1
-                and not any(np.ptp(ia, axis=a).any() for ia in idx_full)
-            )
-            if bcast:
-                sl = tuple(
-                    slice(0, 1) if a in bcast else slice(None)
-                    for a in range(len(g.shape))
-                )
-                reduced = tuple(np.ascontiguousarray(ia[sl]) for ia in idx_full)
-                if grid_size > _VERIFY_LIMIT or np.array_equal(
-                    np.broadcast_to(arr.data[reduced], tuple(g.shape)),
-                    arr.data[idx_full],
-                ):
-                    recipe = None
-                    idx = reduced
-            if recipe is not None and idx is None and grid_size <= _VERIFY_LIMIT:
-                if not np.array_equal(
-                    np.asarray(recipe.take(arr.data)), arr.data[idx_full]
-                ):
-                    recipe = None
-                    idx = idx_full
-            if recipe is None and idx is None:
-                idx = idx_full
+        return arr, m
+
+    def _compile_gather(self, node, g, mask_reg, token, view_ok) -> _Val:
+        arr, m = self._compile_ref(node, g, mask_reg, token, view_ok, False)
         r = self.reg()
-        self.steps.append(
-            _Gather(
-                r, node, arr, subs, view_shape, oob, mask_reg, shift, recipe, idx,
-                view_ok,
-            )
-        )
+        self.steps.append(_Gather(r, node, arr, mask_reg, m, view_ok))
         return _Val(r, True, _DYN)
 
     def _compile_scatter(
         self, assign: ast.Assign, value: _Val, g, mask_reg, token
     ) -> None:
         node = assign.target
-        arr = self._resolve_array(node, g)
-        view_shape = arr.data.shape
-        if len(node.subs) != len(view_shape):
-            raise _Demote()
-        subs = self._static_subs(node, g, mask_reg, token, False)
-        if any(
-            not isinstance(s, np.ndarray) and not 0 <= int(s) < view_shape[a]
-            for a, s in enumerate(subs)
-        ):
-            raise _Demote()
-        oob = _oob_masks(subs, view_shape, g.shape)
-        rc = classify_write(
-            subs,
-            g.shape,
-            g.grid.axis_elems,
-            arr.layout,
-            positions=g.grid.positions,
-        )
-        tier = commtiers.decide_tier(
-            rc, self.costs, write=True, enabled=self.ip.comm_tiers_enabled
-        )
-        rec = _Recorder()
-        commtiers.charge_tier_at(
-            rec, tier, rc, write=True, vp_ratio=g.vp_ratio,
-            grid_shape=tuple(g.shape), layout=arr.layout,
-        )
-        self.charges.extend(rec.entries)
-        flat_idx = tuple(ia.reshape(-1) for ia in self._full_idx(subs, view_shape, g.shape))
-        full_flat = np.ravel_multi_index(flat_idx, view_shape)
-        unique = bool(np.unique(full_flat).size == full_flat.size)
-        self.steps.append(
-            _Scatter(
-                node, arr, value.reg, mask_reg, g.shape, view_shape, subs, oob,
-                full_flat, unique,
-            )
-        )
+        arr, m = self._compile_ref(node, g, mask_reg, token, False, True)
+        self.steps.append(_Scatter(node, arr, value.reg, mask_reg, m))
         self.sim_invalidate(node.base)
 
     def _compile_assign(self, node: ast.Assign, g, mask_reg, token) -> _Val:
@@ -1871,10 +1669,10 @@ class FusedConstruct:
                     self._rebind(name, b)
             elif kind == "array":
                 if b is not self._bound[name]:
-                    # the gather recipes / scatter index vectors baked in
-                    # at compile time are functions of layout and shape
-                    # only, so any same-layout same-shape array of the
-                    # same dtype can be spliced in
+                    # the subscript maps baked in at compile time are
+                    # functions of layout and shape only, so any
+                    # same-layout same-shape array of the same dtype can
+                    # be spliced in
                     if (
                         not isinstance(b, ArrayVar)
                         or b.ctype != expected.ctype

@@ -29,17 +29,22 @@ bounded per-node table (:class:`_MemoTable`) keyed additionally on the
 array's layout, view shape and dtype — never on the :class:`ArrayVar` —
 so they serve every ``seq`` step and every later run of the program.
 
-Gathers whose subscripts are static additionally get an ``np.ix_`` *take
-recipe*: an N-d fancy gather over the grid collapses to a take over one
-vector per varying axis plus a broadcast, which is the big win for
-``solve`` sweeps (e.g. ``dist[i][k]`` over an (i,j,k) grid: a 64×64 take
-instead of a 64³ gather).  Inside pure reductions the broadcast *view* is
-returned directly (``view_ok``); the reduction materialises it before any
-write can occur.
+Every array reference a plan compiles — gathers, scatters, solve
+readiness and ``defined`` marking — lowers its static subscripts through
+one :class:`RefMap` (built by :func:`ref_map`), which the fused register
+programs of :mod:`repro.interp.fuse` share.  A read map holds a NEWS
+shift, an ``np.ix_`` *take recipe* or clipped index arrays: a take recipe
+collapses an N-d fancy gather over the grid to a take over one vector per
+varying axis plus a broadcast, which is the big win for ``solve`` sweeps
+(e.g. ``dist[i][k]`` over an (i,j,k) grid: a 64×64 take instead of a 64³
+gather).  Inside pure reductions the broadcast *view* is returned
+directly (``view_ok``); the reduction materialises it before any write
+can occur.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -131,7 +136,7 @@ def _held_bytes(*parts) -> int:
     total = 0
     for part in parts:
         if isinstance(part, np.ndarray):
-            total += _compact(part).nbytes
+            total += _condensed(part).nbytes
         elif isinstance(part, (tuple, list)):
             total += _held_bytes(*part)
     return total
@@ -193,17 +198,19 @@ def _memo_key(names, ctx: ExecContext, *where):
 # ---------------------------------------------------------------------------
 
 
-def _compact(arr: np.ndarray) -> np.ndarray:
-    """Smallest view of a (possibly broadcast) array holding every value.
+def _condensed(arr: np.ndarray) -> np.ndarray:
+    """View with broadcast (stride-0) axes collapsed to length 1.
 
-    Axes with stride 0 carry no information; slicing them to one element
-    turns reductions over a huge broadcast view into reductions over the
-    underlying vector.
+    Covers each distinct memory element exactly once, so min/max bounds
+    and byte counts cost O(real data), not O(logical size), and an
+    ``astype`` or ``clip`` of the result copies only the real data before
+    re-broadcasting.
     """
-    slicer = tuple(
-        slice(None) if st != 0 else 0 for st in arr.strides
+    idx = tuple(
+        slice(0, 1) if s == 0 and d > 1 else slice(None)
+        for s, d in zip(arr.strides, arr.shape)
     )
-    return arr[slicer]
+    return arr[idx]
 
 
 def _vary_axis(arr: np.ndarray, used) -> Optional[int]:
@@ -277,8 +284,8 @@ def _lead_axes(axes: Tuple[int, ...], lead: int) -> Tuple[int, ...]:
     return tuple(a + lead for a in axes) if lead else axes
 
 
-#: verify recipes against the fancy-gather result only below this size —
-#: the construction is size-independent, so the small-grid differential
+#: verify take recipes on an index probe only below this grid size — the
+#: construction is size-independent, so the small-grid differential
 #: suites exercise it while big production grids skip the O(grid) compare
 _VERIFY_LIMIT = 1 << 16
 
@@ -327,28 +334,207 @@ def _build_index_recipe(subs, view_shape, grid_shape) -> Optional[_IndexRecipe]:
     return _IndexRecipe(tuple(vecs), perm_t, squeeze, expand, tuple(grid_shape))
 
 
-def _oob_masks(subs, view_shape, grid_shape):
-    """Per-axis out-of-bounds masks for static subscripts (None = clean).
+# ---------------------------------------------------------------------------
+# the one subscript map
+# ---------------------------------------------------------------------------
 
-    Range-checks run on the compact view (the underlying vector for
-    broadcast subscripts); full grid-shaped masks are built only for axes
-    that actually hold out-of-range values.
-    """
-    out: List[Optional[np.ndarray]] = []
-    any_bad = False
+
+def _clip_subs(subs, view_shape, shape=None):
+    """Subscripts clipped into the view, per axis, each broadcast to
+    ``shape`` (by default arrays keep their own shape and scalars stay
+    ints); broadcast (stride-0) axes of array subscripts stay
+    unmaterialised."""
+    out = []
     for a, s in enumerate(subs):
-        if isinstance(s, np.ndarray):
+        hi = view_shape[a] - 1
+        if not isinstance(s, np.ndarray):
+            c = min(max(int(s), 0), hi)
+            out.append(c if shape is None else np.broadcast_to(c, shape))
+            continue
+        c = np.clip(_condensed(s), 0, hi) if 0 in s.strides else np.clip(s, 0, hi)
+        to = s.shape if shape is None else shape
+        out.append(c if c.shape == to else np.broadcast_to(c, to))
+    return out
+
+
+def _out_of_bounds(subs, view_shape, grid_shape):
+    """(grid mask of lanes indexing outside the view or None, whether a
+    scalar subscript is out of range — then every lane is).
+
+    Range checks run on the compact view (the underlying vector for
+    broadcast subscripts); grid-shaped masks are built only for axes that
+    actually hold out-of-range values.
+    """
+    bad = None
+    always = False
+    for a, s in enumerate(subs):
+        ext = view_shape[a]
+        if not isinstance(s, np.ndarray):
+            always = always or not 0 <= int(s) < ext
+            continue
+        comp = _condensed(s)
+        if comp.size and (int(comp.min()) < 0 or int(comp.max()) >= ext):
             sb = np.broadcast_to(s, grid_shape)
-            comp = _compact(sb)
-            ext = view_shape[a]
-            if comp.size and (int(comp.min()) < 0 or int(comp.max()) >= ext):
-                out.append(np.broadcast_to((sb < 0) | (sb >= ext), grid_shape))
-                any_bad = True
-            else:
-                out.append(None)
+            axis_bad = (sb < 0) | (sb >= ext)
+            bad = axis_bad if bad is None else bad | axis_bad
+    if always:
+        bad = np.broadcast_to(_TRUE, grid_shape)
+    return bad, always
+
+
+class RefMap:
+    """How one static subscript tuple reaches memory.
+
+    Every compiled array reference — plan gathers and scatters, solve
+    readiness and ``defined`` marking, fused gather and scatter steps —
+    holds the map :func:`ref_map` built for it and goes through
+    :meth:`check`, :meth:`take` and :meth:`store`.  A read map holds one
+    of a NEWS shift, a take recipe or clipped index arrays; a write map
+    holds flat store indices, whether they are unique and whether they
+    cover the view in storage order.  ``rc`` and ``tier`` record the
+    caller's classification for replay (None for solve flags).
+    """
+
+    __slots__ = (
+        "view_shape", "grid_shape", "rc", "tier", "oob", "always", "subs",
+        "shift", "recipe", "idx", "flat", "unique", "dense", "nbytes",
+    )
+
+    def check(self, node: ast.Index, mask) -> None:
+        """Raise the engines' bounds error if a lane ``mask`` enables
+        (lead axes in front) indexes outside the view."""
+        if self.oob is not None and (self.always or np.any(self.oob & mask)):
+            E._bounds_check(node, self.subs, self.view_shape, mask)
+
+    def take(self, data: np.ndarray, lead: int = 0, view_ok: bool = False):
+        """The gathered values, ``lead`` leading axes of ``data`` (batch
+        lanes) riding in front.  Always a fresh array, except that a take
+        recipe hands out its readonly broadcast view when ``view_ok``."""
+        if self.shift is not None:
+            # NEWS tier: chained clamped shifts, bit-identical to the
+            # clipped gather
+            return commtiers.run_shifts(
+                data, [(a + lead, s, e) for a, s, e in self.shift]
+            )
+        if self.recipe is not None:
+            out = self.recipe.take(data, lead)
+            return out if view_ok else out.copy()
+        # index the lead axes explicitly rather than with a leading slice:
+        # pure advanced indexing keeps the copy C-contiguous
+        heads = tuple(
+            np.arange(d).reshape((d,) + (1,) * len(self.grid_shape))
+            for d in data.shape[:lead]
+        )
+        return data[heads + self.idx]
+
+    def store(self, data: np.ndarray, value, mask: np.ndarray, node, construct=None):
+        """Write ``value`` where ``mask`` (lead axes in front) enables,
+        enforcing single assignment (§3.4); returns the flat indices
+        written, or None for a dense full-mask copy."""
+        if self.dense and isinstance(value, np.ndarray) and mask.all():
+            # full-mask store in storage order: a cast copy, no fancy indexing
+            vals = np.broadcast_to(value, mask.shape).reshape(data.shape)
+            np.copyto(data, E._cast_array(vals, data.dtype))
+            return None
+        flat = self.flat
+        n_lanes = mask.size // flat.size
+        if n_lanes > 1:
+            # per-lane flat indices offset into the stacked array: lane
+            # blocks are disjoint, so unique solo indices stay unique
+            view_size = data.size // n_lanes
+            flat = (flat + (np.arange(n_lanes) * view_size)[:, None]).reshape(-1)
+        flat_mask = mask.reshape(-1)
+        flat_idx = flat[flat_mask]
+        if isinstance(value, np.ndarray):
+            vals = np.broadcast_to(value, mask.shape)[mask]
         else:
-            out.append(None)
-    return out if any_bad else None
+            vals = np.full(flat_idx.size, value)
+        vals = E._cast_array(vals, data.dtype)
+        if not self.unique:
+            E._check_single_assignment(
+                node,
+                flat_idx,
+                vals,
+                grid_shape=self.grid_shape,
+                flat_mask=flat_mask,
+                view_shape=self.view_shape,
+                construct=construct,
+            )
+        data.reshape(-1)[flat_idx] = vals
+        return flat_idx
+
+
+def _lower_read(subs, view_shape, grid_shape, idx, memo, compact):
+    """(take recipe, index arrays) for a read no NEWS shift serves; exactly
+    one of the two is set."""
+    if not memo:
+        return None, idx
+    recipe = _build_index_recipe(subs, view_shape, grid_shape)
+    if recipe is not None and math.prod(grid_shape) <= _VERIFY_LIMIT:
+        # check positions, not values: a probe holding every element's own
+        # flat index catches a wrong recipe even over all-equal data
+        probe = np.arange(math.prod(view_shape)).reshape(view_shape)
+        if not np.array_equal(recipe.take(probe), probe[idx]):
+            recipe = None
+    if compact:
+        # grid axes no subscript varies along (spreads, broadcasts,
+        # reduction operands): gather one representative slice and let
+        # the consumer broadcast it
+        keep = tuple(
+            slice(0, 1)
+            if n > 1 and not any(np.ptp(c, axis=g).any() for c in idx)
+            else slice(None)
+            for g, n in enumerate(grid_shape)
+        )
+        if any(k != slice(None) for k in keep):
+            return None, tuple(np.ascontiguousarray(c[keep]) for c in idx)
+    return (recipe, None) if recipe is not None else (None, idx)
+
+
+def ref_map(
+    subs, view_shape, grid_shape, *, rc=None, tier=None, write=False,
+    memo=True, compact=False,
+) -> RefMap:
+    """Lower the raw (pre-clip) subscripts of one reference from a
+    ``grid_shape`` grid into a ``view_shape`` array.
+
+    Reads prefer the NEWS shift (``tier`` "news"), then a take recipe
+    checked on an index probe, then clipped index arrays; with
+    ``compact``, grid axes no subscript varies along keep one
+    representative slice for the consumer to broadcast.  Writes get flat
+    store indices.  A ``memo=False`` map serves one execution only:
+    plain index arrays, no recipe, no uniqueness verdict.
+    """
+    m = RefMap()
+    m.view_shape = view_shape
+    m.grid_shape = grid_shape
+    m.rc = rc
+    m.tier = tier
+    m.oob, m.always = _out_of_bounds(subs, view_shape, grid_shape)
+    # only the bounds error message needs the raw subscripts
+    m.subs = subs if m.oob is not None else None
+    m.shift = m.recipe = m.idx = m.flat = None
+    m.unique = m.dense = False
+    idx = tuple(_clip_subs(subs, view_shape, grid_shape))
+    if write:
+        m.flat = np.ravel_multi_index(tuple(c.reshape(-1) for c in idx), view_shape)
+        if memo:
+            m.unique = bool(np.unique(m.flat).size == m.flat.size)
+            m.dense = bool(
+                m.flat.size == math.prod(view_shape)
+                and np.array_equal(m.flat, np.arange(m.flat.size))
+            )
+    else:
+        if memo and tier == "news":
+            m.shift = commtiers.shift_descriptor(rc, view_shape, grid_shape)
+        if m.shift is None:
+            m.recipe, m.idx = _lower_read(
+                subs, view_shape, grid_shape, idx, memo, compact
+            )
+    m.nbytes = _held_bytes(
+        m.oob, m.subs, m.idx, m.flat, m.recipe.vecs if m.recipe else None
+    )
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -570,303 +756,133 @@ def _log_tier(ip, node, tier: str) -> None:
         ip.tier_log.setdefault((node.line, node.base), set()).add(tier)
 
 
-class _GatherMemo:
-    __slots__ = ("oob", "rc", "idx", "recipe", "tier", "shift", "nbytes")
+def _view(ip, node: ast.Index, ctx: ExecContext):
+    """(array, the data view ``node`` indexes, whether its maps may be
+    memoised); raises the engines' subscript-count error."""
+    binding = ctx.env.lookup(node.base)
+    if isinstance(binding, ArrayVar):
+        arr, data, direct = binding, binding.data, True
+    else:
+        arr, _prefix, data = E._resolve_array(ip, node, ctx)
+        direct = False
+    if len(node.subs) != data.ndim:
+        raise UCRuntimeError(
+            f"array {node.base!r} needs {data.ndim} subscripts, got "
+            f"{len(node.subs)}",
+            node.line,
+            node.col,
+        )
+    return arr, data, direct
 
-    def __init__(self, oob, rc, idx, recipe, tier, shift) -> None:
-        self.oob = oob
-        self.rc = rc
-        #: full index arrays, kept only when neither a shift nor a take
-        #: recipe can serve the gather
-        self.idx = idx
-        self.recipe = recipe
-        #: communication tier decided once at memo-build time
-        self.tier = tier
-        #: NEWS shift recipe ((axis, offset) pairs) when the tier dispatcher
-        #: can service this gather as chained clamped shifts
-        self.shift = shift
-        self.nbytes = _held_bytes(oob, idx, recipe.vecs if recipe else None)
 
+class _RefPlan:
+    """One compiled array reference: its subscript plans and a bounded
+    table of :class:`RefMap` memos."""
 
-class _GatherPlan:
-    __slots__ = ("node", "subs", "names", "view_ok", "_memo")
+    __slots__ = ("node", "subs", "names", "_memo")
 
-    def __init__(self, node, subs, names, view_ok) -> None:
+    def __init__(self, node: ast.Index, view_ok: bool = False) -> None:
         self.node = node
-        self.subs = subs
-        self.names = names
-        self.view_ok = view_ok
+        self.subs = [compile_expr(s, view_ok) for s in node.subs]
+        self.names = _joint_static_names(node.subs)
         self._memo = _MemoTable()
 
-    def __call__(self, ip, ctx: ExecContext):
+    def _charged_map(self, ip, ctx, arr, data, direct, subs, write) -> RefMap:
+        """The reference's map, bounds-checked and charged for this
+        execution.  A miss classifies the subscripts; the router-only
+        ablation services remote reads by the full general gather every
+        sweep, exactly as the tree-walker does — no recipe, no memo."""
         node = self.node
-        binding = ctx.env.lookup(node.base)
-        if isinstance(binding, ArrayVar):
-            direct = True
-            arr = binding
-            data = binding.data
-        else:
-            direct = False
-            arr, _prefix, data = E._resolve_array(ip, node, ctx)
-        view_shape = data.shape
-        if len(node.subs) != len(view_shape):
-            raise UCRuntimeError(
-                f"array {node.base!r} needs {len(view_shape)} subscripts, got "
-                f"{len(node.subs)}",
-                node.line,
-                node.col,
-            )
-        subs = [p(ip, ctx) for p in self.subs]
-
-        if ctx.grid.is_host:
-            idx = tuple(int(s) for s in subs)
-            E._bounds_check(node, subs, view_shape, np.ones((), bool))
-            ip.machine.clock.charge("host_cm_latency")
-            return data[idx].item()
-
-        mask = ctx.active_mask()
         key = (
             _memo_key(self.names, ctx, arr.layout, data.shape, data.dtype)
             if direct
             else None
         )
         m = self._memo.get(key) if key is not None else None
-        if m is not None:
-            if m.oob is not None:
-                for ob in m.oob:
-                    if ob is not None and np.any(ob & mask):
-                        E._bounds_check(node, subs, view_shape, mask)
-            commtiers.charge_tier(
-                ip, ctx, m.tier, m.rc, write=False, layout=arr.layout
+        if m is None:
+            classify = classify_write if write else classify_reference
+            grid = ctx.grid
+            rc = classify(
+                subs, grid.shape, grid.axis_elems, arr.layout, positions=grid.positions
             )
-            _log_tier(ip, node, m.tier)
-            if m.shift is not None:
-                # NEWS tier: chained clamped shifts, bit-identical to
-                # the clipped gather (and always a fresh array)
-                return commtiers.run_shifts(data, m.shift)
-            if m.recipe is not None:
-                out = m.recipe.take(data)
-                return out if self.view_ok else out.copy()
-            return data[m.idx]
-
-        # compact out-of-bounds probe first: when every subscript is in
-        # range (the overwhelmingly common case) the O(grid) masked check
-        # is provably a no-op and can be skipped on this first execution
-        oob = _oob_masks(subs, view_shape, ctx.grid.shape)
-        scalar_bad = any(
-            not isinstance(s, np.ndarray)
-            and not 0 <= int(s) < view_shape[a]
-            for a, s in enumerate(subs)
-        )
-        if oob is not None or scalar_bad:
-            E._bounds_check(node, subs, view_shape, mask)
-        rc = classify_reference(
-            subs,
-            ctx.grid.shape,
-            ctx.grid.axis_elems,
-            arr.layout,
-            positions=ctx.grid.positions,
-        )
-        tier = E.charge_ref(ip, ctx, rc, write=False, node=node, layout=arr.layout)
-
-        # router-only ablation: remote references are serviced by the
-        # full general gather every sweep, exactly as the tree-walker
-        # does — no recipe, no memo
-        memo_ok = key is not None and (ip.comm_tiers_enabled or tier == "local")
-        recipe = (
-            _build_index_recipe(subs, view_shape, ctx.grid.shape)
-            if memo_ok
-            else None
-        )
-        grid_size = int(np.prod(ctx.grid.shape))
-        idx_tuple: Optional[Tuple[np.ndarray, ...]] = None
-        if recipe is not None and grid_size > _VERIFY_LIMIT:
-            # big grid: serve the first sweep from the recipe too — the
-            # construction is size-independent and verified differentially
-            # on small grids, so materialising full index arrays here
-            # would only duplicate what every later sweep avoids
-            out = recipe.take(data)
-            result = out if self.view_ok else out.copy()
-        else:
-            idx_arrays = []
-            for a, s in enumerate(subs):
-                if isinstance(s, np.ndarray):
-                    clipped = np.clip(s, 0, view_shape[a] - 1)
-                else:
-                    clipped = np.full(ctx.grid.shape, int(s), dtype=np.int64)
-                idx_arrays.append(np.broadcast_to(clipped, ctx.grid.shape))
-            idx_tuple = tuple(idx_arrays)
-            result = data[idx_tuple]
-            if recipe is not None and not np.array_equal(
-                np.asarray(recipe.take(data)), result
-            ):
-                recipe = None
-
-        if memo_ok:
-            shift = None
-            if tier == "news":
-                shift = commtiers.shift_descriptor(
-                    rc, view_shape, ctx.grid.shape
-                )
-            if shift is not None or recipe is not None:
-                idx_tuple = None
-            self._memo.put(
-                key, _GatherMemo(oob, rc, idx_tuple, recipe, tier, shift)
+            tier = commtiers.decide_tier(
+                rc, ip.machine.clock.costs, write=write, enabled=ip.comm_tiers_enabled
             )
-        return result
+            memo = key is not None and (
+                write or ip.comm_tiers_enabled or tier == "local"
+            )
+            m = ref_map(
+                subs, data.shape, grid.shape, rc=rc, tier=tier, write=write, memo=memo
+            )
+            if memo:
+                self._memo.put(key, m)
+        m.check(node, ctx.active_mask())
+        commtiers.charge_tier(ip, ctx, m.tier, m.rc, write=write, layout=arr.layout)
+        _log_tier(ip, node, m.tier)
+        return m
+
+    def _flag_map(self, ip, ctx, flags: np.ndarray, write: bool) -> RefMap:
+        """The map into solve's ``defined`` flags (no charges, no checks:
+        out-of-range lanes read as undefined and mark clipped)."""
+        subs = [p(ip, ctx) for p in self.subs]
+        key = _memo_key(self.names, ctx, flags.shape)
+        m = self._memo.get(key) if key is not None else None
+        if m is None:
+            m = ref_map(
+                subs, flags.shape, ctx.grid.shape, write=write, memo=key is not None
+            )
+            if key is not None:
+                self._memo.put(key, m)
+        return m
 
 
-class _ScatterMemo:
-    __slots__ = ("oob", "rc", "flat", "unique", "tier", "nbytes")
+class _GatherPlan(_RefPlan):
+    __slots__ = ("view_ok",)
 
-    def __init__(self, oob, rc, flat, unique, tier) -> None:
-        self.oob = oob
-        self.rc = rc
-        self.flat = flat
-        self.unique = unique
-        #: communication tier decided once at memo-build time
-        self.tier = tier
-        self.nbytes = _held_bytes(oob, flat)
+    def __init__(self, node: ast.Index, view_ok: bool) -> None:
+        super().__init__(node, view_ok)
+        self.view_ok = view_ok
+
+    def __call__(self, ip, ctx: ExecContext):
+        node = self.node
+        arr, data, direct = _view(ip, node, ctx)
+        subs = [p(ip, ctx) for p in self.subs]
+        if ctx.grid.is_host:
+            idx = tuple(int(s) for s in subs)
+            E._bounds_check(node, subs, data.shape, np.ones((), bool))
+            ip.machine.clock.charge("host_cm_latency")
+            return data[idx].item()
+        m = self._charged_map(ip, ctx, arr, data, direct, subs, write=False)
+        return m.take(data, view_ok=self.view_ok)
 
 
-class _ScatterPlan:
-    __slots__ = ("node", "subs", "names", "_memo")
-
-    def __init__(self, node, subs, names) -> None:
-        self.node = node
-        self.subs = subs
-        self.names = names
-        self._memo = _MemoTable()
+class _ScatterPlan(_RefPlan):
+    __slots__ = ()
 
     def __call__(self, ip, value, ctx: ExecContext) -> None:
         node = self.node
-        binding = ctx.env.lookup(node.base)
-        if isinstance(binding, ArrayVar):
-            direct = True
-            arr = binding
-            data = binding.data
-        else:
-            direct = False
-            arr, _prefix, data = E._resolve_array(ip, node, ctx)
-        view_shape = data.shape
-        if len(node.subs) != len(view_shape):
-            raise UCRuntimeError(
-                f"array {node.base!r} needs {len(view_shape)} subscripts, got "
-                f"{len(node.subs)}",
-                node.line,
-                node.col,
-            )
+        arr, data, direct = _view(ip, node, ctx)
         subs = [p(ip, ctx) for p in self.subs]
-
         if ctx.grid.is_host:
             idx = tuple(int(s) for s in subs)
-            E._bounds_check(node, subs, view_shape, np.ones((), bool))
+            E._bounds_check(node, subs, data.shape, np.ones((), bool))
             ip.machine.clock.charge("host_cm_latency")
             data[idx] = E._coerce_to_dtype(value, data.dtype)
             ip.cse_invalidate(node.base)
             return
-
         mask = ctx.active_mask()
         if not np.any(mask):
             return
-        key = (
-            _memo_key(self.names, ctx, arr.layout, data.shape, data.dtype)
-            if direct
-            else None
-        )
-        m = self._memo.get(key) if key is not None else None
-        if m is not None:
-            if m.oob is not None:
-                for ob in m.oob:
-                    if ob is not None and np.any(ob & mask):
-                        E._bounds_check(node, subs, view_shape, mask)
-            commtiers.charge_tier(
-                ip, ctx, m.tier, m.rc, write=True, layout=arr.layout
-            )
-            _log_tier(ip, node, m.tier)
-            flat_mask = mask.reshape(-1)
-            flat_idx = m.flat[flat_mask]
-            if isinstance(value, np.ndarray):
-                vals = np.broadcast_to(value, ctx.grid.shape).reshape(-1)[
-                    flat_mask
-                ]
-            else:
-                vals = np.full(int(flat_mask.sum()), value)
-            vals = E._cast_array(vals, data.dtype)
-            if not m.unique:
-                E._check_single_assignment(
-                    node,
-                    flat_idx,
-                    vals,
-                    grid_shape=ctx.grid.shape,
-                    flat_mask=flat_mask,
-                    view_shape=view_shape,
-                    construct=getattr(ip, "current_construct", None),
-                )
-            if getattr(ip, "sanitizer", None) is not None:
-                ip.sanitizer.record_write(
-                    node,
-                    (not m.unique)
-                    and bool(np.unique(flat_idx).size < flat_idx.size),
-                )
-            data.reshape(-1)[flat_idx] = vals
-            ip.cse_invalidate(node.base)
-            return
-
-        E._bounds_check(node, subs, view_shape, mask)
-        rc = classify_write(
-            subs,
-            ctx.grid.shape,
-            ctx.grid.axis_elems,
-            arr.layout,
-            positions=ctx.grid.positions,
-        )
-        tier = E.charge_ref(ip, ctx, rc, write=True, node=node, layout=arr.layout)
-        idx_arrays = []
-        for a, s in enumerate(subs):
-            if isinstance(s, np.ndarray):
-                clipped = np.clip(s, 0, view_shape[a] - 1)
-            else:
-                clipped = np.full(ctx.grid.shape, int(s), dtype=np.int64)
-            idx_arrays.append(np.broadcast_to(clipped, ctx.grid.shape).reshape(-1))
-        flat_mask = mask.reshape(-1)
-        flat_idx = np.ravel_multi_index(
-            tuple(ia[flat_mask] for ia in idx_arrays), view_shape
-        )
-        if isinstance(value, np.ndarray):
-            vals = np.broadcast_to(value, ctx.grid.shape).reshape(-1)[flat_mask]
-        else:
-            vals = np.full(int(flat_mask.sum()), value)
-        vals = E._cast_array(vals, data.dtype)
-        E._check_single_assignment(
-            node,
-            flat_idx,
-            vals,
-            grid_shape=ctx.grid.shape,
-            flat_mask=flat_mask,
-            view_shape=view_shape,
-            construct=getattr(ip, "current_construct", None),
+        m = self._charged_map(ip, ctx, arr, data, direct, subs, write=True)
+        written = m.store(
+            data, value, mask, node, getattr(ip, "current_construct", None)
         )
         if getattr(ip, "sanitizer", None) is not None:
             ip.sanitizer.record_write(
-                node, bool(np.unique(flat_idx).size < flat_idx.size)
+                node,
+                (not m.unique) and bool(np.unique(written).size < written.size),
             )
-        data.reshape(-1)[flat_idx] = vals
         ip.cse_invalidate(node.base)
-
-        if key is not None:
-            full_flat = np.ravel_multi_index(tuple(idx_arrays), view_shape)
-            unique = np.unique(full_flat).size == full_flat.size
-            self._memo.put(
-                key,
-                _ScatterMemo(
-                    _oob_masks(subs, view_shape, ctx.grid.shape),
-                    rc,
-                    full_flat,
-                    unique,
-                    tier,
-                ),
-            )
 
 
 class _AssignPlan:
@@ -909,73 +925,39 @@ class _AssignPlan:
 
 
 class _CallPlan:
-    """Compiled builtin fast paths; everything else delegates verbatim."""
+    """Compiled pure builtins and ``rand``; everything else delegates
+    verbatim."""
 
-    __slots__ = ("node", "args", "kind")
+    __slots__ = ("node", "args", "builtin")
 
     def __init__(self, node, args) -> None:
+        from .functions import PURE_BUILTINS
+
         self.node = node
         self.args = args
-        name = node.func
-        n = len(node.args)
-        if name in ("power2", "abs", "ABS", "fabs") and n == 1:
-            self.kind = name
-        elif name == "sqrt" and n == 1:
-            self.kind = name
-        elif name in ("min", "max") and n == 2:
-            self.kind = name
-        elif name == "rand" and n == 0:
-            self.kind = name
+        builtin = PURE_BUILTINS.get(node.func)
+        if builtin is not None and builtin.arity == len(args):
+            self.builtin = builtin
+        elif node.func == "rand" and not args:
+            self.builtin = "rand"
         else:
-            self.kind = None
+            self.builtin = None
 
     def __call__(self, ip, ctx: ExecContext):
         node = self.node
-        kind = self.kind
-        if kind is None or ip.info.functions.get(node.func) is not None:
+        builtin = self.builtin
+        if builtin is None or ip.info.functions.get(node.func) is not None:
             return ip.call_function(node, ctx)
-        args = self.args
-        if kind == "power2":
-            x = args[0](ip, ctx)
-            E.charge_grid_op(ip, ctx)
-            if isinstance(x, np.ndarray):
-                return np.left_shift(1, np.clip(x, 0, 62))
-            return 1 << max(0, int(x))
-        if kind in ("abs", "ABS", "fabs"):
-            x = args[0](ip, ctx)
-            E.charge_grid_op(ip, ctx)
-            if isinstance(x, np.ndarray):
-                return np.abs(x)
-            return abs(x) if kind != "fabs" else abs(float(x))
-        if kind == "sqrt":
-            x = args[0](ip, ctx)
-            E.charge_grid_op(ip, ctx, count=4)
-            if isinstance(x, np.ndarray):
-                return np.sqrt(np.maximum(x, 0).astype(np.float64))
-            if x < 0:
-                raise UCRuntimeError("sqrt of a negative value", node.line, node.col)
-            return float(x) ** 0.5
-        if kind == "min":
-            a = args[0](ip, ctx)
-            b = args[1](ip, ctx)
-            E.charge_grid_op(ip, ctx)
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                return np.minimum(a, b)
-            return min(a, b)
-        if kind == "max":
-            a = args[0](ip, ctx)
-            b = args[1](ip, ctx)
-            E.charge_grid_op(ip, ctx)
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                return np.maximum(a, b)
-            return max(a, b)
-        # rand
-        from .functions import RAND_MAX
+        if builtin == "rand":
+            from .functions import RAND_MAX
 
-        E.charge_grid_op(ip, ctx)
-        if ctx.grid.is_host:
-            return int(ip.rng.integers(0, RAND_MAX))
-        return ip.rng.integers(0, RAND_MAX, size=ctx.grid.shape)
+            E.charge_grid_op(ip, ctx)
+            if ctx.grid.is_host:
+                return int(ip.rng.integers(0, RAND_MAX))
+            return ip.rng.integers(0, RAND_MAX, size=ctx.grid.shape)
+        args = [a(ip, ctx) for a in self.args]
+        E.charge_grid_op(ip, ctx, count=builtin.alu)
+        return builtin.value(node, *args)
 
 
 class _SwapPlan:
@@ -987,8 +969,8 @@ class _SwapPlan:
 
     def __init__(self, node) -> None:
         self.node = node
-        self.reads = tuple(_gather_plan(a, False) for a in node.args)
-        self.writes = tuple(_scatter_plan(a) for a in node.args)
+        self.reads = tuple(_GatherPlan(a, False) for a in node.args)
+        self.writes = tuple(_ScatterPlan(a) for a in node.args)
 
     def __call__(self, ip, ctx: ExecContext):
         node = self.node
@@ -1135,7 +1117,7 @@ def _compile_inner(node: ast.Expr, view_ok: bool):
     if isinstance(node, ast.Name):
         return _NamePlan(node)
     if isinstance(node, ast.Index):
-        return _gather_plan(node, view_ok)
+        return _GatherPlan(node, view_ok)
     if isinstance(node, ast.Unary):
         return _UnaryPlan(
             node, compile_expr(node.operand, view_ok), _static_names(node)
@@ -1198,23 +1180,8 @@ def _compile_assign(node: ast.Assign):
     read = compile_expr(node.target) if node.op else None
     scatter = None
     if isinstance(node.target, ast.Index):
-        scatter = _scatter_plan(node.target)
+        scatter = _ScatterPlan(node.target)
     return _AssignPlan(node, value, read, scatter)
-
-
-def _gather_plan(node: ast.Index, view_ok: bool) -> _GatherPlan:
-    return _GatherPlan(
-        node,
-        [compile_expr(s, view_ok) for s in node.subs],
-        _joint_static_names(node.subs),
-        view_ok,
-    )
-
-
-def _scatter_plan(node: ast.Index) -> _ScatterPlan:
-    return _ScatterPlan(
-        node, [compile_expr(s) for s in node.subs], _joint_static_names(node.subs)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1359,64 +1326,17 @@ class _ReadyTrue:
         return np.broadcast_to(_TRUE, ctx.grid.shape)
 
 
-class _ReadyIndexMemo:
-    __slots__ = ("idx", "noob", "recipe", "nbytes")
-
-    def __init__(self, idx, noob, recipe) -> None:
-        #: full index arrays, kept only when no take recipe exists
-        self.idx = idx
-        self.noob = noob
-        self.recipe = recipe
-        self.nbytes = _held_bytes(idx, noob, recipe.vecs if recipe else None)
-
-
-class _ReadyIndex:
-    __slots__ = ("node", "subs", "names", "_memo")
-
-    def __init__(self, node, subs, names) -> None:
-        self.node = node
-        self.subs = subs
-        self.names = names
-        self._memo = _MemoTable()
+class _ReadyIndex(_RefPlan):
+    __slots__ = ()
 
     def __call__(self, ip, ctx: ExecContext, defined) -> np.ndarray:
         node = self.node
-        shape = ctx.grid.shape
         if node.base not in defined:
-            return np.broadcast_to(_TRUE, shape)
+            return np.broadcast_to(_TRUE, ctx.grid.shape)
         flags = defined[node.base]
-        subs = [p(ip, ctx) for p in self.subs]
-        key = _memo_key(self.names, ctx, flags.shape)
-        m = self._memo.get(key) if key is not None else None
-        if m is not None:
-            got = m.recipe.take(flags) if m.recipe is not None else flags[m.idx]
-            if m.noob is None:
-                return got
-            return got & m.noob
-        idx = []
-        oob = np.zeros(shape, dtype=bool)
-        for a, s in enumerate(subs):
-            arr = np.broadcast_to(np.asarray(s), shape)
-            oob |= (arr < 0) | (arr >= flags.shape[a])
-            idx.append(np.clip(arr, 0, flags.shape[a] - 1))
-        got = flags[tuple(idx)]
-        result = got & ~oob
-        if key is not None:
-            recipe = _build_index_recipe(subs, flags.shape, shape)
-            if (
-                recipe is not None
-                and got.size <= _VERIFY_LIMIT
-                and not np.array_equal(np.asarray(recipe.take(flags)), got)
-            ):
-                recipe = None
-            noob = ~oob if bool(np.any(oob)) else None
-            self._memo.put(
-                key,
-                _ReadyIndexMemo(
-                    tuple(idx) if recipe is None else None, noob, recipe
-                ),
-            )
-        return result
+        m = self._flag_map(ip, ctx, flags, write=False)
+        got = m.take(flags, view_ok=True)
+        return got if m.oob is None else got & ~m.oob
 
 
 class _ReadyAnd:
@@ -1519,11 +1439,7 @@ def compile_readiness(node: ast.Expr):
     ):
         return _ReadyTrue()
     if isinstance(node, ast.Index):
-        return _ReadyIndex(
-            node,
-            [compile_expr(s) for s in node.subs],
-            _joint_static_names(node.subs),
-        )
+        return _ReadyIndex(node)
     if isinstance(node, ast.Unary):
         return compile_readiness(node.operand)
     if isinstance(node, ast.Binary):
@@ -1566,71 +1482,20 @@ class _MarkNamePlan:
             defined[self.ident][...] = True
 
 
-class _MarkMemo:
-    __slots__ = ("cols", "nbytes")
-
-    def __init__(self, cols) -> None:
-        #: per flags axis: the clipped flat subscript column, or an int
-        self.cols = cols
-        self.nbytes = _held_bytes(cols)
-
-
-class _MarkIndexPlan:
-    __slots__ = ("node", "subs", "names", "_memo")
-
-    def __init__(self, node, subs, names) -> None:
-        self.node = node
-        self.subs = subs
-        self.names = names
-        self._memo = _MemoTable()
+class _MarkIndexPlan(_RefPlan):
+    __slots__ = ()
 
     def __call__(self, ip, ctx: ExecContext, defined) -> None:
-        mask = ctx.active_mask()
         flags = defined[self.node.base]
-        subs = [p(ip, ctx) for p in self.subs]
-        key = _memo_key(self.names, ctx, flags.shape)
-        m = self._memo.get(key) if key is not None else None
-        if m is not None:
-            fm = mask.reshape(-1)
-            n_act = None
-            idx = []
-            for col in m.cols:
-                if isinstance(col, np.ndarray):
-                    idx.append(col[fm])
-                else:
-                    if n_act is None:
-                        n_act = int(mask.sum())
-                    idx.append(np.full(n_act, col))
-            flags[tuple(idx)] = True
-            return
-        idx = []
-        for a, s in enumerate(subs):
-            if isinstance(s, np.ndarray):
-                idx.append(
-                    np.clip(s, 0, flags.shape[a] - 1).reshape(-1)[mask.reshape(-1)]
-                )
-            else:
-                idx.append(np.full(int(mask.sum()), int(s)))
-        flags[tuple(idx)] = True
-        if key is not None:
-            cols = []
-            for a, s in enumerate(subs):
-                if isinstance(s, np.ndarray):
-                    cols.append(np.clip(s, 0, flags.shape[a] - 1).reshape(-1))
-                else:
-                    cols.append(int(s))
-            self._memo.put(key, _MarkMemo(tuple(cols)))
+        m = self._flag_map(ip, ctx, flags, write=True)
+        m.store(flags, True, ctx.active_mask(), self.node)
 
 
 def _compile_mark(target: ast.Expr):
     if isinstance(target, ast.Name):
         return _MarkNamePlan(target.ident)
     assert isinstance(target, ast.Index)
-    return _MarkIndexPlan(
-        target,
-        [compile_expr(s) for s in target.subs],
-        _joint_static_names(target.subs),
-    )
+    return _MarkIndexPlan(target)
 
 
 class SolveAssignPlan:
@@ -1685,36 +1550,13 @@ def compile_sched_steps(assignments):
 def lane_gather(data: np.ndarray, subs, node: ast.Index, live: np.ndarray) -> np.ndarray:
     """Gather ``data`` at per-lane subscripts (ints or lane arrays).
 
-    Mirrors :func:`repro.interp.eval_expr.eval_gather`'s bounds checking
-    (array subscripts are checked under the ``live`` refinement mask,
-    scalar subscripts unconditionally — identical messages) and its
-    clip-then-index semantics for guarded out-of-range lanes.
+    Mirrors :func:`repro.interp.eval_expr.eval_gather`: array subscripts
+    are bounds-checked under the ``live`` refinement mask, scalar
+    subscripts unconditionally (identical messages), and guarded
+    out-of-range lanes read clipped.
     """
-    idx = []
-    for a, s in enumerate(subs):
-        extent = data.shape[a]
-        if isinstance(s, np.ndarray):
-            bad = ((s < 0) | (s >= extent)) & np.broadcast_to(live, np.broadcast(s, live).shape)
-            if np.any(bad):
-                sb = np.broadcast_to(s, bad.shape)[bad]
-                val = int(sb[0]) if sb.size else -1
-                raise UCRuntimeError(
-                    f"subscript {a} of {node.base!r} out of range "
-                    f"(value {val}, extent {extent})",
-                    node.line,
-                    node.col,
-                )
-            idx.append(np.clip(s, 0, extent - 1))
-        else:
-            if not 0 <= int(s) < extent:
-                raise UCRuntimeError(
-                    f"subscript {a} of {node.base!r} out of range "
-                    f"(value {int(s)}, extent {extent})",
-                    node.line,
-                    node.col,
-                )
-            idx.append(int(s))
-    return data[tuple(idx)]
+    E._bounds_check(node, subs, data.shape, live)
+    return data[tuple(_clip_subs(subs, data.shape))]
 
 
 def lane_scatter(data: np.ndarray, subs, value, node: ast.Index):
@@ -1728,17 +1570,7 @@ def lane_scatter(data: np.ndarray, subs, value, node: ast.Index):
     sweep's frontier and the old/new pair tracks reduction direction.
     """
     n = int(subs[0].size) if subs else 0
-    for a, s in enumerate(subs):
-        extent = data.shape[a]
-        bad = (s < 0) | (s >= extent)
-        if np.any(bad):
-            val = int(s[bad][0])
-            raise UCRuntimeError(
-                f"subscript {a} of {node.base!r} out of range "
-                f"(value {val}, extent {extent})",
-                node.line,
-                node.col,
-            )
+    E._bounds_check(node, subs, data.shape, _TRUE)
     if isinstance(value, np.ndarray):
         vals = np.broadcast_to(value, (n,))
     else:

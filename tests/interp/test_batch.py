@@ -501,8 +501,9 @@ class TestSharedExecutor:
                 if fr.lead:
                     tag = cls.__name__
                     if cls is fuse_mod._Gather:
-                        tag += ".shift" if self.shift is not None else (
-                            ".recipe" if self.recipe is not None else ".index"
+                        m = self.map
+                        tag += ".shift" if m.shift is not None else (
+                            ".recipe" if m.recipe is not None else ".index"
                         )
                     seen.add(tag)
                 return orig(self, fr, regs)

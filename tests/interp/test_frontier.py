@@ -30,6 +30,14 @@ main {
 """
 
 
+#: the same closure written through pure builtin calls: compressed sweeps
+#: evaluate and charge them from the table the other engines use
+APSP_BUILTINS = APSP.replace(
+    "d[i][k] + d[k][j]",
+    "max(d[i][k], 0) + min(d[k][j], power2(30)) + abs(ABS(0))",
+)
+
+
 def _apsp_input():
     d = np.full((64, 64), 10**9, dtype=np.int64)
     d[11:, 11:] = 3
@@ -61,6 +69,15 @@ class TestStarFrontier:
         assert r.frontier["active_lanes"] < r.frontier["domain_lanes"]
         assert r.frontier_trace, "compressed sweeps must leave a trace"
         assert all(a <= d for a, d in r.frontier_trace)
+
+    def test_builtin_calls_compress_like_the_oracle(self):
+        on = run_uc(APSP_BUILTINS, _apsp_input())
+        assert on.frontier["compressed_sweeps"] >= 1
+        off = run_uc(APSP_BUILTINS, _apsp_input(), frontier=False)
+        tree = run_uc(APSP_BUILTINS, _apsp_input(), plans=False)
+        assert np.array_equal(on["d"], off["d"])
+        assert np.array_equal(on["d"], tree["d"])
+        assert on.fingerprint == tree.fingerprint
 
     def test_identical_results_and_never_higher_clock(self):
         on = run_uc(APSP, _apsp_input())

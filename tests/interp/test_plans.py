@@ -225,6 +225,73 @@ class TestRecipeGeometry:
         )
 
 
+class TestRecipeProbe:
+    """A take recipe is kept only if it reads the right positions.  Over
+    all-zero data a wrong recipe gathers the same values as the right
+    one, so ``ref_map`` checks it on an index probe, not on live data."""
+
+    SRC = """
+    index_set I:i = {0..7}, J:j = {0..7}, K:k = {0..3};
+    int a[8][8], b[8][8];
+    main {
+        seq (K) {
+            par (I, J) b[i][j] = a[i][7 - j] + i * 8 + j;
+            par (I, J) a[i][j] = b[i][j] * 2 + k;
+        }
+    }
+    """
+
+    @pytest.mark.parametrize("fusion", [True, False], ids=["fused", "plans"])
+    def test_swapped_recipe_is_rejected(self, fusion, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_PLANS", raising=False)
+        real = plan._build_index_recipe
+
+        def swapped(subs, view_shape, grid_shape):
+            r = real(subs, view_shape, grid_shape)
+            if r is not None and len(r.vecs) == 2:
+                r = plan._IndexRecipe(
+                    r.vecs[::-1], r.perm, r.squeeze, r.expand, r.shape
+                )
+            return r
+
+        monkeypatch.setattr(plan, "_build_index_recipe", swapped)
+        assert_identical(self.SRC, compile_store=None, fusion=fusion)
+
+
+class TestPureBuiltins:
+    """Plans evaluate every pure builtin from the oracle's own table."""
+
+    SRC = """
+    index_set I:i = {0..15}, K:k = {0..2};
+    int a[16], s;
+    float f[16];
+    main {
+        par (I) a[i] = i - 7;
+        seq (K) par (I) {
+            a[i] = max(min(a[i] * 3, 40), 0 - 40) + power2(i % 5) + abs(a[i])
+                   + ABS(k - i);
+            f[i] = sqrt(fabs(a[i] * 1.5)) + f[i];
+        }
+        s = power2(3) + abs(0 - 4) + min(3, 9) + max(2, 1);
+    }
+    """
+
+    def test_every_builtin_matches_the_oracle(self):
+        assert_identical(self.SRC)
+
+    def test_negative_sqrt_message_matches_the_oracle(self):
+        src = (
+            "index_set I:i = {0..3};\nfloat f[4];\nint s;\n"
+            "main { s = 0 - 4; par (I) f[i] = sqrt(s); }"
+        )
+        messages = []
+        for plans in (True, False):
+            with pytest.raises(UCRuntimeError, match="sqrt of a negative") as err:
+                UCProgram(src, plans=plans).run()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
 def count_classifications(monkeypatch):
     """Count every reference classification the engines ask for."""
     calls = {"n": 0}
