@@ -1,13 +1,14 @@
-"""Kernel-fusion benchmark — fused register programs vs per-closure plans.
+"""Kernel-fusion benchmark — fused register programs vs the walker.
 
-The fusion backend (``repro.interp.fuse``) lowers a compiled construct
-plan's statement sequence into whole-array register programs: gathers
-and scatters replay the memoized index recipes, arithmetic and guards
-run as vectorized numpy ops, and the Clock cost of each sweep is
-replayed from a precomputed static charge table instead of per-statement
+The fusion backend (``repro.interp.fuse``) lowers a construct's
+statement sequence into whole-array register programs: gathers and
+scatters replay the memoized index recipes, arithmetic and guards run
+as vectorized numpy ops, and the Clock cost of each sweep is replayed
+from a precomputed static charge table instead of per-statement
 ``Clock.charge`` calls.  ``REPRO_NO_FUSION=1`` (here: the
-``fusion=False`` constructor toggle) restores the per-closure plan
-engine with bit-identical results and fingerprints.
+``fusion=False`` constructor toggle) runs every construct on the walker
+with its memoised reference maps, with bit-identical results and
+fingerprints.
 
 Workloads, chosen to show every face honestly:
 
@@ -23,7 +24,8 @@ Workloads, chosen to show every face honestly:
   ternary border guards, short-circuit predicates and NEWS-tier gathers
   all through the fused path.
 * ``split`` — a construct body with a user function call in the middle:
-  the call runs as an unfused plan closure between two fused segments.
+  the call runs as an unfused segment on the walker between two fused
+  segments.
   Fusion must still win nothing silently — the row asserts the honest
   segment counters and bit-identical fingerprints.
 * ``unfusable`` — a body with a declaration, which the pass refuses
@@ -289,7 +291,7 @@ def check_bench(rows, small: bool) -> None:
     by_key = {(r["workload"], r["engine"]): r for r in rows}
     if not small:
         # the acceptance row: fused steady-state sweeps at least 2x
-        # cheaper than the per-closure plan engine's
+        # cheaper than the walker's
         key = next(k for k in by_key if k[0].startswith("apsp n=64"))
         row = by_key[(key[0], "steady")]
         assert row["speedup"] >= 2.0, (
@@ -311,7 +313,7 @@ def write_json(rows, small: bool) -> Path:
         json.dumps(
             {
                 "benchmark": "kernel fusion: fused register programs vs "
-                "per-closure plans",
+                "the walker",
                 "mode": "small" if small else "full",
                 "reps": REPS,
                 "escape_hatch": "REPRO_NO_FUSION=1",
@@ -345,7 +347,7 @@ def report(rows, small: bool) -> None:
             )
             for r in rows
         ],
-        title="Kernel fusion vs per-closure plans "
+        title="Kernel fusion vs the walker "
         "(identical results and Clock fingerprints in every mode)",
     )
     save_report("bench_fusion", table)

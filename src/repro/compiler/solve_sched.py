@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..lang import ast
-from ..lang.errors import UCRuntimeError, UCSemanticError
-from ..mapping.maps import AffineSub, affine_subscript
+from ..lang.errors import UCSemanticError
+from ..mapping.maps import affine_subscript
 
 
 @dataclass
@@ -34,52 +34,27 @@ class SolveSchedule:
     levels: np.ndarray  # per-grid-point dependency level
     max_level: int
     assignments: Sequence[Tuple[Optional[ast.Expr], ast.Assign]]
-    stmt: Optional[ast.Node] = None  # the solve UCStmt, for plan caching
 
     def execute(self, ip, inner) -> None:
         """Run the schedule: one masked par step per level."""
         from ..interp.eval_expr import _truthy, eval_expr
-        from ..interp.statements import exec_stmt
-
-        plans = None
-        if getattr(ip, "plans_enabled", False) and self.stmt is not None:
-            from ..interp.plan import compile_sched_steps
-
-            plans = ip.plan_cache.get_or_build(
-                "sched",
-                self.stmt,
-                inner.grid.axes,
-                lambda: compile_sched_steps(self.assignments),
-            )
 
         base = inner.active_mask()
-        vps = ip.grid_vpset(inner.grid.shape)
         for level in range(self.max_level + 1):
             # the front end drives the level loop
             ip.machine.clock.charge("host_cm_latency")
             level_mask = base & (self.levels == level)
             if not np.any(level_mask):
                 continue
-            for k, (pred, assign) in enumerate(self.assignments):
-                step = plans[k] if plans is not None else None
+            for pred, assign in self.assignments:
                 mask = level_mask
                 if pred is not None:
-                    if step is not None:
-                        pv = step[0](ip, inner.with_mask(level_mask))
-                    else:
-                        pv = eval_expr(ip, pred, inner.with_mask(level_mask))
+                    pv = eval_expr(ip, pred, inner.with_mask(level_mask))
                     mask = level_mask & np.broadcast_to(
                         np.asarray(_truthy(pv)), inner.grid.shape
                     )
                 if np.any(mask):
-                    if step is not None:
-                        step[1](ip, inner.with_mask(mask))
-                    else:
-                        exec_stmt(
-                            ip,
-                            ast.ExprStmt(line=assign.line, col=assign.col, expr=assign),
-                            inner.with_mask(mask),
-                        )
+                    eval_expr(ip, assign, inner.with_mask(mask))
 
 
 def try_schedule(
@@ -125,7 +100,6 @@ def try_schedule(
         levels=levels,
         max_level=int(levels.max()),
         assignments=assignments,
-        stmt=stmt,
     )
 
 

@@ -67,7 +67,6 @@ from .statements import (
     MAX_SWEEPS,
     ReturnSignal,
     _check_starred,
-    _plans_for,
     bind_grid,
     enter_grid,
     exec_stmt,
@@ -327,8 +326,8 @@ class _LaneFrame(fuse.Frame):
 
 
 def _lane_ready(fused) -> bool:
-    """Lane sweeps run fused segments only (an unfused plan closure has
-    no lane axis), and only provably single-assignment scatters (so no
+    """Lane sweeps run fused segments only (an unfused segment runs on the
+    walker, which has no lane axis), and only provably single-assignment scatters (so no
     cross-lane duplicate check runs)."""
     for segs in fused.arm_segments:
         for seg in segs:
@@ -378,10 +377,7 @@ class _BatchConstruct:
     def _screen(self):
         stmt = self.stmt
         ip0 = self.interps[0]
-        if not (
-            getattr(ip0, "fusion_enabled", False)
-            and getattr(ip0, "plans_enabled", False)
-        ):
+        if not (ip0.fusion_enabled and ip0.plans_enabled):
             return None
         try:
             if stmt.kind == "par":
@@ -392,8 +388,7 @@ class _BatchConstruct:
             # bind_grid, not enter_grid: screening must not touch any
             # lane's clock
             probe = bind_grid(ip0, stmt, ctx0)
-            plans0 = _plans_for(ip0, stmt, probe.grid)
-            fused = fuse.fused_for(ip0, stmt, probe, plans0)
+            fused = fuse.fused_for(ip0, stmt, probe)
             if fused is None or fused.others_segments is not None:
                 return None
             if not _lane_ready(fused):
@@ -432,16 +427,12 @@ class _BatchConstruct:
         self.fused = fused
         self.inners: List[ExecContext] = []
         self.sessions: List[Optional[frontier.StarSession]] = []
-        self.plans: List[Any] = []
         for ip, i in zip(self.interps, self.live):
             inner = enter_grid(ip, stmt, self.ctxs[i])
-            plans = _plans_for(ip, stmt, inner.grid)
-            fk = fuse.fused_for(ip, stmt, inner, plans)
-            if fk is not fused:
+            if fuse.fused_for(ip, stmt, inner) is not fused:
                 raise _BatchAbort()
             sess = frontier.star_session(ip, stmt, inner, stmt.kind)
             self.inners.append(inner)
-            self.plans.append(plans)
             self.sessions.append(sess)
         on = [s is not None for s in self.sessions]
         if any(on) and not all(on):
@@ -484,7 +475,6 @@ class _BatchConstruct:
         self.live = [self.live[r] for r in keep]
         self.interps = [self.interps[r] for r in keep]
         self.inners = [self.inners[r] for r in keep]
-        self.plans = [self.plans[r] for r in keep]
         self.sessions = [self.sessions[r] for r in keep]
         for name in self.array_vars:
             self.array_vars[name] = [self.array_vars[name][r] for r in keep]
@@ -619,7 +609,7 @@ class _BatchConstruct:
                 continue
             self._writeback(row)
             finish(
-                self.interps[row], self.stmt, self.inners[row], self.plans[row],
+                self.interps[row], self.stmt, self.inners[row],
                 self.sessions[row], self.vp_ratio, sweeps=sweeps, states=states,
             )
         if len(keep) != len(self.live):

@@ -16,9 +16,9 @@ communication tier the machine actually uses:
                cheaper ``router_permute`` cycle;
 ``router``     everything else: the general router.
 
-Both the tree-walking oracle (:mod:`repro.interp.eval_expr`) and the
-compiled-plan engine (:mod:`repro.interp.plan`) call :func:`decide_tier`
-/ :func:`charge_tier`, which keeps their Clock fingerprints
+The walker (:mod:`repro.interp.eval_expr`), with or without its reference
+memos (:mod:`repro.interp.plan`), calls :func:`decide_tier` /
+:func:`charge_tier`, which keeps their Clock fingerprints
 bit-identical by construction.  ``REPRO_NO_COMM_TIERS=1`` (or
 ``UCProgram(comm_tiers=False)``) disables the dispatcher: every remote
 reference is serviced — and charged — through the general router, which

@@ -1,12 +1,13 @@
 """Process-wide content-addressed compile store.
 
-The per-run :class:`~repro.interp.plan_cache.PlanCache` memoises
-compiled plans by AST node identity, which is only safe within one
-program object.  This module lifts the whole compile pipeline to a
-shared, size-bounded, *content-addressed* store so parse → semantic
-analysis → layout construction → plan/fusion compilation happens once
-per distinct program and is reused across :class:`UCProgram` instances,
-repeated runs, and batch lanes (see ``UCProgram.run_batch``).
+The per-run :class:`~repro.interp.plan_cache.PlanCache` keys reference
+memos, fused kernels and frontier analyses by AST node identity, which
+is only safe within one program object.  This module lifts the whole
+compile pipeline to a shared, size-bounded, *content-addressed* store so
+parse → semantic analysis → layout construction → memo/fusion builds
+happen once per distinct program and are reused across
+:class:`UCProgram` instances, repeated runs, and batch lanes (see
+``UCProgram.run_batch``).
 
 Two levels:
 
@@ -31,8 +32,8 @@ Two levels:
 
 Both levels are bounded LRU; the store is process-wide state intended
 for single-threaded use (the interpreter itself is single-threaded).
-Entries hold no per-run mutable state: plan closures re-resolve
-bindings by name and self-heal their memos, fused kernels re-validate
+Entries hold no per-run mutable state: reference memos key on how
+names resolve and on each array's layout, shape and dtype, fused kernels re-validate
 and re-bind per sweep, frontier analyses re-bind per session.
 """
 
@@ -207,7 +208,7 @@ class CompileStore:
         """Hit/miss/size counters plus an approximate byte size.
 
         ``source_bytes`` is the summed length of the cached program
-        sources — an honest proxy for frontend footprint; plan closures
+        sources — an honest proxy for frontend footprint; memos and kernels
         are not meaningfully measurable, so backend size is reported as
         entry and cached-plan counts instead.
         """

@@ -9,13 +9,18 @@ keeps guarded out-of-bounds subscripts such as ``a[i-1]`` under
 dereferenced).
 
 Array references are classified by :mod:`repro.mapping.locality` and the
-machine clock is charged for the resulting communication tier.
+machine clock is charged for the resulting communication tier.  This
+walker is the only evaluator: with plans on, array references pull
+their classification and index lowering from the per-node memos of
+:mod:`repro.interp.plan` instead of re-deriving them; with plans off
+(``REPRO_NO_PLANS=1``) it derives everything afresh and serves as the
+differential reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,7 +28,7 @@ from ..lang import ast
 from ..lang.errors import UCMultipleAssignmentError, UCRuntimeError
 from ..machine.scan import INF, identity_of
 from ..mapping.locality import RefClass, classify_reference, classify_write
-from . import commtiers
+from . import commtiers, plan
 from .env import Env
 from .values import (
     ArrayVar,
@@ -33,7 +38,6 @@ from .values import (
     ScalarVar,
     SliceParam,
     coerce_scalar,
-    numpy_ctype,
 )
 
 Value = Union[int, float, np.ndarray]
@@ -57,6 +61,10 @@ class ExecContext:
     grid: GridContext
     mask: Optional[np.ndarray]  # None = everywhere active; shape == grid.shape
     env: Env
+    #: inside a pure reduction (no call, assignment or increment) nothing
+    #: can write while operands are live, so memoised gathers may return
+    #: readonly broadcast views
+    views: bool = False
 
     def active_mask(self) -> np.ndarray:
         if self.mask is not None:
@@ -64,10 +72,10 @@ class ExecContext:
         return self.grid.full_mask()
 
     def with_mask(self, mask: Optional[np.ndarray]) -> "ExecContext":
-        return ExecContext(self.grid, mask, self.env)
+        return ExecContext(self.grid, mask, self.env, self.views)
 
     def with_env(self, env: Env) -> "ExecContext":
-        return ExecContext(self.grid, self.mask, env)
+        return ExecContext(self.grid, self.mask, env, self.views)
 
     def refine(self, cond: np.ndarray) -> "ExecContext":
         cond = np.asarray(cond, dtype=bool)
@@ -134,21 +142,41 @@ def eval_expr(ip, expr: ast.Expr, ctx: ExecContext) -> Value:
     each other's subexpressions), pure parallel subexpressions are
     computed — and charged — once.
     """
-    if (
-        ip.cse_cache is not None
-        and isinstance(expr, (ast.Binary, ast.Index, ast.Unary, ast.Ternary))
-        and not ctx.grid.is_host
-    ):
-        cached = _cse_lookup(ip, expr, ctx)
-        if cached is not _CSE_MISS:
-            return cached
-        value = _eval_uncached(ip, expr, ctx)
-        _cse_store(ip, expr, ctx, value)
-        return value
-    return _eval_uncached(ip, expr, ctx)
+    kind = type(expr)
+    ev = _EVAL.get(kind)
+    if ev is None:
+        raise UCRuntimeError(
+            f"cannot evaluate {kind.__name__}", expr.line, expr.col
+        )
+    cache = ip.cse_cache
+    if cache is None or kind not in _CSE_NODES or ctx.grid.is_host:
+        return ev(ip, expr, ctx)
+    key = _cse_key(ip, expr)
+    if key is None:
+        return ev(ip, expr, ctx)
+    key = (key, ctx.grid.shape)
+    hit = cache.get(key)
+    if hit is not None:
+        value, computed_mask = hit
+        # safe to reuse only where the cached evaluation was active
+        if computed_mask is None or bool(np.all(computed_mask[ctx.active_mask()])):
+            return value
+    return _cse_store(cache, key, ctx, ev(ip, expr, ctx))
 
 
-_CSE_MISS = object()
+def _cse_store(cache: dict, key, ctx: ExecContext, value: Value) -> Value:
+    """Cache ``value`` under ``key``; returns what the cache holds."""
+    if isinstance(value, np.ndarray) and not value.flags.writeable:
+        # never let a readonly view (a take recipe's broadcast inside a
+        # pure reduction) into the cache: it holds materialised values
+        # that a later write in the same statement cannot reach
+        value = value.copy()
+    cache[key] = (value, ctx.mask.copy() if ctx.mask is not None else None)
+    return value
+
+
+#: the pure node kinds the CSE cache holds values for
+_CSE_NODES = frozenset({ast.Binary, ast.Index, ast.Unary, ast.Ternary})
 
 
 def _cse_key(ip, expr: ast.Expr) -> Optional[str]:
@@ -179,64 +207,25 @@ def _cse_key(ip, expr: ast.Expr) -> Optional[str]:
     return text
 
 
-def _cse_lookup(ip, expr: ast.Expr, ctx: ExecContext):
-    key = _cse_key(ip, expr)
-    if key is None:
-        return _CSE_MISS
-    hit = ip.cse_cache.get((key, ctx.grid.shape))
-    if hit is None:
-        return _CSE_MISS
-    value, computed_mask = hit
-    current = ctx.active_mask()
-    # safe to reuse only where the cached evaluation was active
-    if computed_mask is None or bool(np.all(computed_mask[current])):
-        return value
-    return _CSE_MISS
+def _eval_literal(ip, expr, ctx: ExecContext) -> Value:
+    return expr.value  # a StringLit only reaches printf
 
 
-def _cse_store(ip, expr: ast.Expr, ctx: ExecContext, value: Value) -> None:
-    key = _cse_key(ip, expr)
-    if key is None:
-        return
-    mask = ctx.mask.copy() if ctx.mask is not None else None
-    ip.cse_cache[(key, ctx.grid.shape)] = (value, mask)
+def _eval_inf(ip, expr: ast.InfLit, ctx: ExecContext) -> Value:
+    return INF
 
 
-def _eval_uncached(ip, expr: ast.Expr, ctx: ExecContext) -> Value:
-    if isinstance(expr, ast.IntLit):
-        return expr.value
-    if isinstance(expr, ast.FloatLit):
-        return expr.value
-    if isinstance(expr, ast.InfLit):
-        return INF
-    if isinstance(expr, ast.StringLit):
-        return expr.value  # type: ignore[return-value]  (printf only)
-    if isinstance(expr, ast.Name):
-        return _eval_name(ip, expr, ctx)
-    if isinstance(expr, ast.Index):
-        return eval_gather(ip, expr, ctx)
-    if isinstance(expr, ast.Unary):
-        return _eval_unary(ip, expr, ctx)
-    if isinstance(expr, ast.Binary):
-        return _eval_binary(ip, expr, ctx)
-    if isinstance(expr, ast.Ternary):
-        return _eval_ternary(ip, expr, ctx)
-    if isinstance(expr, ast.Call):
-        return ip.call_function(expr, ctx)
-    if isinstance(expr, ast.Reduction):
-        return eval_reduction(ip, expr, ctx)
-    if isinstance(expr, ast.Assign):
-        return eval_assign(ip, expr, ctx)
-    if isinstance(expr, ast.IncDec):
-        one = ast.IntLit(line=expr.line, col=expr.col, value=1)
-        op = "+" if expr.op == "++" else "-"
-        return eval_assign(
-            ip,
-            ast.Assign(line=expr.line, col=expr.col, target=expr.target, op=op, value=one),
-            ctx,
-        )
-    raise UCRuntimeError(
-        f"cannot evaluate {type(expr).__name__}", expr.line, expr.col
+def _eval_call(ip, expr: ast.Call, ctx: ExecContext) -> Value:
+    return ip.call_function(expr, ctx)
+
+
+def _eval_incdec(ip, expr: ast.IncDec, ctx: ExecContext) -> Value:
+    one = ast.IntLit(line=expr.line, col=expr.col, value=1)
+    op = "+" if expr.op == "++" else "-"
+    return eval_assign(
+        ip,
+        ast.Assign(line=expr.line, col=expr.col, target=expr.target, op=op, value=one),
+        ctx,
     )
 
 
@@ -274,17 +263,22 @@ def _truthy(v: Value) -> Value:
 def _eval_unary(ip, expr: ast.Unary, ctx: ExecContext) -> Value:
     v = eval_expr(ip, expr.operand, ctx)
     charge_grid_op(ip, ctx)
-    if expr.op == "-":
+    return _static_apply(ip, expr, ctx, apply_unary, expr.op, v, expr)
+
+
+def apply_unary(op: str, v: Value, node: ast.Node) -> Value:
+    """C semantics for one unary operator on a scalar or array."""
+    if op == "-":
         return -v
-    if expr.op == "!":
+    if op == "!":
         if isinstance(v, np.ndarray):
             return np.logical_not(v.astype(bool)).astype(np.int64)
         return int(not v)
-    if expr.op == "~":
+    if op == "~":
         if isinstance(v, np.ndarray):
             return np.invert(v.astype(np.int64))
         return ~int(v)
-    raise UCRuntimeError(f"bad unary {expr.op!r}", expr.line, expr.col)
+    raise UCRuntimeError(f"bad unary {op!r}", node.line, node.col)
 
 
 _SIMPLE_BINOPS = {
@@ -369,7 +363,7 @@ def _eval_binary(ip, expr: ast.Binary, ctx: ExecContext) -> Value:
     a = eval_expr(ip, expr.left, ctx)
     b = eval_expr(ip, expr.right, ctx)
     charge_grid_op(ip, ctx)
-    return apply_binop(expr.op, a, b, expr)
+    return _static_apply(ip, expr, ctx, apply_binop, expr.op, a, b, expr)
 
 
 def _eval_shortcircuit(ip, expr: ast.Binary, ctx: ExecContext) -> Value:
@@ -388,12 +382,13 @@ def _eval_shortcircuit(ip, expr: ast.Binary, ctx: ExecContext) -> Value:
     lbool = np.broadcast_to(np.asarray(_truthy(left)), ctx.grid.shape)
     # evaluate the right side only where the left side leaves it live
     live = lbool if expr.op == "&&" else ~lbool
-    sub = ctx.refine(live)
-    right = eval_expr(ip, expr.right, sub)
-    rbool = np.broadcast_to(np.asarray(_truthy(right)), ctx.grid.shape)
-    if expr.op == "&&":
-        return (lbool & rbool).astype(np.int64)
-    return (lbool | rbool).astype(np.int64)
+    right = eval_expr(ip, expr.right, ctx.refine(live))
+    return _static_apply(ip, expr, ctx, _combine, expr.op, lbool, right, ctx.grid.shape)
+
+
+def _combine(op: str, lbool: np.ndarray, right: Value, shape) -> np.ndarray:
+    rbool = np.broadcast_to(np.asarray(_truthy(right)), shape)
+    return ((lbool & rbool) if op == "&&" else (lbool | rbool)).astype(np.int64)
 
 
 def _eval_ternary(ip, expr: ast.Ternary, ctx: ExecContext) -> Value:
@@ -405,7 +400,50 @@ def _eval_ternary(ip, expr: ast.Ternary, ctx: ExecContext) -> Value:
     then_v = eval_expr(ip, expr.then, ctx.refine(cbool))
     else_v = eval_expr(ip, expr.els, ctx.refine(~cbool))
     charge_grid_op(ip, ctx, count=2)  # the select
-    return np.where(cbool, then_v, else_v)
+    return _static_apply(ip, expr, ctx, np.where, cbool, then_v, else_v)
+
+
+#: ``Interpreter.static_values`` entry of a node that is not static
+_NOT_STATIC = object()
+
+
+class _StaticValue:
+    """The last value of one static subtree (see ``plan._static_names``),
+    reusable while its free names bind the same way on the same grid."""
+
+    __slots__ = ("names", "sig", "value")
+
+    def __init__(self, names) -> None:
+        self.names = names
+        self.sig = None
+        self.value = None
+
+
+def _static_apply(ip, expr: ast.Expr, ctx: ExecContext, op, *args) -> Value:
+    """``op(*args)``, the final operation of ``expr``.
+
+    With plans on, a static ``expr`` (value fixed by the grid axes and
+    the axis-element / constant bindings of its free names) keeps its
+    last value per run: a repeated sweep or level skips the ufunc.  The
+    operands were evaluated, and charged, by the caller either way.
+    """
+    if not ip.plans_enabled:
+        return op(*args)
+    slot = ip.static_values.get(id(expr))
+    if slot is None:
+        names = plan._static_names(expr)
+        slot = _StaticValue(names) if names is not None else _NOT_STATIC
+        ip.static_values[id(expr)] = slot
+    if slot is _NOT_STATIC:
+        return op(*args)
+    sig = plan._binding_sig(slot.names, ctx)
+    if sig is None:
+        return op(*args)
+    sig = (sig, ctx.grid.axes)
+    if sig != slot.sig:
+        slot.value = op(*args)
+        slot.sig = sig
+    return slot.value
 
 
 # ---------------------------------------------------------------------------
@@ -413,28 +451,44 @@ def _eval_ternary(ip, expr: ast.Ternary, ctx: ExecContext) -> Value:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_array(ip, node: ast.Index, ctx: ExecContext) -> Tuple[ArrayVar, Tuple[int, ...], np.ndarray]:
-    """Resolve the base name, returning (array, fixed-prefix, data view)."""
+def _resolve_view(
+    ip, node: ast.Index, ctx: ExecContext
+) -> Tuple[ArrayVar, np.ndarray, bool]:
+    """Resolve the base name: (array, the data view ``node`` indexes,
+    whether that view is the whole array); raises the subscript-count
+    error."""
     binding = ctx.env.try_lookup(node.base)
-    if binding is None:
+    if isinstance(binding, ArrayVar):
+        arr, data, whole = binding, binding.data, True
+    elif isinstance(binding, SliceParam):
+        arr, data, whole = binding.array, binding.view(), not binding.prefix
+    elif binding is None:
         raise UCRuntimeError(
             f"undefined identifier {node.base!r} at run time", node.line, node.col
         )
-    if isinstance(binding, ArrayVar):
-        return binding, (), binding.data
-    if isinstance(binding, SliceParam):
-        return binding.array, binding.prefix, binding.view()
-    if isinstance(binding, ParallelLocal):
+    elif isinstance(binding, ParallelLocal):
         raise UCRuntimeError(
             f"parallel local {node.base!r} is a scalar, not an array",
             node.line,
             node.col,
         )
-    raise UCRuntimeError(f"{node.base!r} is not an array", node.line, node.col)
+    else:
+        raise UCRuntimeError(f"{node.base!r} is not an array", node.line, node.col)
+    if len(node.subs) != data.ndim:
+        raise UCRuntimeError(
+            f"array {node.base!r} needs {data.ndim} subscripts, got "
+            f"{len(node.subs)}",
+            node.line,
+            node.col,
+        )
+    return arr, data, whole
 
 
-def _eval_subscripts(ip, node: ast.Index, ctx: ExecContext) -> List[Value]:
-    return [eval_expr(ip, s, ctx) for s in node.subs]
+def _host_index(ip, node: ast.Index, subs, shape) -> Tuple[int, ...]:
+    """A front-end access: the checked element index, latency charged."""
+    _bounds_check(node, subs, shape, np.ones((), bool))
+    ip.machine.clock.charge("host_cm_latency")
+    return tuple(int(s) for s in subs)
 
 
 def _bounds_check(
@@ -469,22 +523,16 @@ def _bounds_check(
 
 def eval_gather(ip, node: ast.Index, ctx: ExecContext) -> Value:
     """Evaluate an array read, charging the classified communication cost."""
-    arr, prefix, data = _resolve_array(ip, node, ctx)
+    arr, data, whole = _resolve_view(ip, node, ctx)
     view_shape = data.shape
-    if len(node.subs) != len(view_shape):
-        raise UCRuntimeError(
-            f"array {node.base!r} needs {len(view_shape)} subscripts, got "
-            f"{len(node.subs)}",
-            node.line,
-            node.col,
-        )
-    subs = _eval_subscripts(ip, node, ctx)
+    subs = [eval_expr(ip, s, ctx) for s in node.subs]
 
     if ctx.grid.is_host:
-        idx = tuple(int(s) for s in subs)
-        _bounds_check(node, subs, view_shape, np.ones((), bool))
-        ip.machine.clock.charge("host_cm_latency")
-        return data[idx].item()
+        return data[_host_index(ip, node, subs, view_shape)].item()
+
+    if ip.plans_enabled:
+        m = plan.charged_map(ip, node, ctx, arr, data, whole, subs, False)
+        return m.take(data, view_ok=ctx.views)
 
     mask = ctx.active_mask()
     _bounds_check(node, subs, view_shape, mask)
@@ -521,27 +569,29 @@ def eval_scatter(
     ctx: ExecContext,
 ) -> None:
     """Execute an array write under the mask, enforcing single assignment."""
-    arr, prefix, data = _resolve_array(ip, node, ctx)
+    arr, data, whole = _resolve_view(ip, node, ctx)
     view_shape = data.shape
-    if len(node.subs) != len(view_shape):
-        raise UCRuntimeError(
-            f"array {node.base!r} needs {len(view_shape)} subscripts, got "
-            f"{len(node.subs)}",
-            node.line,
-            node.col,
-        )
-    subs = _eval_subscripts(ip, node, ctx)
+    subs = [eval_expr(ip, s, ctx) for s in node.subs]
 
     if ctx.grid.is_host:
-        idx = tuple(int(s) for s in subs)
-        _bounds_check(node, subs, view_shape, np.ones((), bool))
-        ip.machine.clock.charge("host_cm_latency")
-        data[idx] = _coerce_to_dtype(value, data.dtype)
+        data[_host_index(ip, node, subs, view_shape)] = _coerce_to_dtype(
+            value, data.dtype
+        )
         ip.cse_invalidate(node.base)
         return
 
     mask = ctx.active_mask()
     if not np.any(mask):
+        return
+    if ip.plans_enabled:
+        m = plan.charged_map(ip, node, ctx, arr, data, whole, subs, True)
+        written = m.store(data, value, mask, node, ip.current_construct)
+        if ip.sanitizer is not None:
+            ip.sanitizer.record_write(
+                node,
+                (not m.unique) and bool(np.unique(written).size < written.size),
+            )
+        ip.cse_invalidate(node.base)
         return
     _bounds_check(node, subs, view_shape, mask)
     rc = classify_write(
@@ -769,13 +819,13 @@ def _assign_parallel_local(
 
 def eval_reduction(ip, node: ast.Reduction, ctx: ExecContext) -> Value:
     """Evaluate a reduction (§3.2), returning a parent-shaped value."""
+    sets = [ip.resolve_index_set(name, ctx, at=node) for name in node.index_sets]
     if ip.processor_opt:
         from .sendreduce import try_send_reduce
 
-        optimized = try_send_reduce(ip, node, ctx)
+        optimized = try_send_reduce(ip, node, ctx, sets)
         if optimized is not None:
             return optimized
-    sets = [ip.resolve_index_set(name, ctx, at=node) for name in node.index_sets]
     inner_grid = ctx.grid.extend(sets)
     inner_env = ctx.env.child()
     for offset, isv in enumerate(sets):
@@ -792,7 +842,11 @@ def eval_reduction(ip, node: ast.Reduction, ctx: ExecContext) -> Value:
         )
     else:
         base_mask = inner_grid.full_mask()
-    inner = ExecContext(inner_grid, base_mask, inner_env)
+    views = ctx.views or (
+        ip.plans_enabled
+        and ip.plan_cache.get_or_build("pure", node, None, lambda: is_pure(node))
+    )
+    inner = ExecContext(inner_grid, base_mask, inner_env, views)
 
     reduce_axes = tuple(range(ctx.grid.rank, inner_grid.rank))
     reduce_extent = int(np.prod([len(s) for s in sets]))
@@ -845,6 +899,14 @@ def eval_reduction(ip, node: ast.Reduction, ctx: ExecContext) -> Value:
     if ctx.grid.is_host:
         return result.item() if isinstance(result, np.ndarray) and result.ndim == 0 else result
     return result
+
+
+def is_pure(node: ast.Reduction) -> bool:
+    """Whether ``node`` contains no call, assignment or increment: nothing
+    can then write while its operands are live."""
+    return not any(
+        isinstance(n, (ast.Call, ast.Assign, ast.IncDec)) for n in ast.walk(node)
+    )
 
 
 def _result_dtype(op: str, arm_values: List[np.ndarray]) -> np.dtype:
@@ -914,3 +976,21 @@ def _reduce_arbitrary(
     if np.all(out == np.trunc(out)):
         out = out.astype(np.int64)
     return out
+
+
+#: the walker's dispatch: one evaluator per expression node type
+_EVAL = {
+    ast.IntLit: _eval_literal,
+    ast.FloatLit: _eval_literal,
+    ast.StringLit: _eval_literal,
+    ast.InfLit: _eval_inf,
+    ast.Name: _eval_name,
+    ast.Index: eval_gather,
+    ast.Unary: _eval_unary,
+    ast.Binary: _eval_binary,
+    ast.Ternary: _eval_ternary,
+    ast.Call: _eval_call,
+    ast.Reduction: eval_reduction,
+    ast.Assign: eval_assign,
+    ast.IncDec: _eval_incdec,
+}

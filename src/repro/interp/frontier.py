@@ -63,7 +63,7 @@ from ..machine.scan import INF
 from ..machine.vpset import ratio_for
 from ..mapping.locality import classify_affine, classify_write_affine
 from . import commtiers
-from .eval_expr import _RED_UFUNC, _reduce_op, apply_binop
+from .eval_expr import _RED_UFUNC, _reduce_op, apply_binop, apply_unary
 from .functions import PURE_BUILTINS
 from .plan import lane_gather, lane_scatter
 from .values import ArrayVar, ElementBinding, ScalarVar
@@ -434,16 +434,7 @@ class _Compiler:
             raise _NotFrontierable()
 
         def fn(S, lanes):
-            v = f(S, lanes)
-            if op == "-":
-                return -v
-            if op == "!":
-                if isinstance(v, np.ndarray):
-                    return np.logical_not(v.astype(bool)).astype(np.int64)
-                return int(not v)
-            if isinstance(v, np.ndarray):
-                return np.invert(v.astype(np.int64))
-            return ~int(v)
+            return apply_unary(op, f(S, lanes), expr)
 
         return fn, is_arr
 

@@ -87,8 +87,8 @@ def _max(node, a, b):
     return np.maximum(a, b) if _arrayish(a, b) else max(a, b)
 
 
-#: the builtins every engine evaluates the same way: the tree oracle
-#: below, compiled plans and the frontier's compressed sweeps
+#: the builtins every engine evaluates the same way: the walker below
+#: and the frontier's compressed sweeps
 PURE_BUILTINS = {
     "power2": Builtin(1, 1, _power2),
     "abs": Builtin(1, 1, _abs),

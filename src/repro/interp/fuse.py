@@ -1,17 +1,18 @@
 """Kernel fusion: lower a construct body to whole-array NumPy programs.
 
-The compiled-plan engine (:mod:`repro.interp.plan`) already memoises the
-expensive per-statement analyses (subscript maps, tier decisions, charge
-recipes), but the steady-state sweep loop still walks one Python closure
-per expression node per sweep.  This pass goes one step further, in the
-spirit of the paper's "UC compiles to tight data-parallel code" claim:
-for an iterated construct it compiles the whole charge-and-compute
-statement sequence once, into
+The walker (:mod:`repro.interp.eval_expr`) with its memoised reference
+maps (:mod:`repro.interp.plan`) already skips the expensive per-reference
+analyses (classification, tier decisions, index lowering), but the
+steady-state sweep loop still dispatches once per expression node per
+sweep.  This pass goes one step further, in the spirit of the paper's
+"UC compiles to tight data-parallel code" claim: for an iterated
+construct it compiles the whole charge-and-compute statement sequence
+once, into
 
 * a **register program**: a flat list of steps over preallocated value
   slots (``regs``).  Gathers and scatters hold the same kind of
-  :class:`~repro.interp.plan.RefMap` a plan memo holds (one lowering of
-  the subscripts, built by ``ref_map``), arithmetic becomes direct
+  :class:`~repro.interp.plan.RefMap` a walker memo holds (one lowering
+  of the subscripts, built by ``ref_map``), arithmetic becomes direct
   ``numpy`` calls, guards become boolean mask registers; and
 * a **static charge table**: the exact ``Clock.charge`` /
   ``charge_scan`` / ``count_tier`` sequence each statement would issue,
@@ -24,9 +25,9 @@ replaying the table is *bit-identical* to the unfused engine — the
 differential suites hold ``fusion=True`` to the tree-walker's exact
 fingerprint.  Statements the pass cannot prove static (host calls,
 dynamic subscripts, data-dependent short-circuits, send-reduce
-candidates...) become **unfused segments**: the fused sweep drops back to
-the ordinary compiled-plan closure for just that statement, keeping the
-rest of the body on the fast path.
+candidates...) become **unfused segments**: the fused sweep runs just
+that statement on the walker (``exec_stmt``), keeping the rest of the
+body on the fast path.
 
 The register program is the only step executor, for solo sweeps and
 for ``run_batch`` lanes alike.  Steps reach data through a per-sweep
@@ -59,13 +60,12 @@ Correctness subtleties worth naming:
   Those errors abort the run — the fingerprint of a completed run is
   unaffected — and the differential tests only assert messages there.
 * **Escape hatch.**  ``REPRO_NO_FUSION=1`` or ``UCProgram(fusion=False)``
-  restores the per-closure plan engine; the tree-walking oracle remains
-  the ground truth either way.
+  runs every construct on the walker; the memo-free walker
+  (``plans=False``) remains the ground truth either way.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -78,7 +78,9 @@ from ..machine.scan import INF
 from ..mapping.locality import classify_reference, classify_write
 from . import commtiers
 from . import eval_expr as E
-from .plan import _condensed, _lead_axes, _UnaryPlan, compile_stmt, ref_map
+from .plan import _condensed, _lead_axes, ref_map
+from .sendreduce import send_reduce_split
+from .statements import exec_stmt
 from .values import ArrayVar, ElementBinding, LaneScalars, ScalarVar, coerce_scalar
 
 __all__ = ["fused_for", "Frame", "FusedConstruct"]
@@ -251,7 +253,7 @@ class _Unary:
         self.node = node
 
     def apply(self, v):
-        return _UnaryPlan._apply(self.node, v)
+        return E.apply_unary(self.node.op, v, self.node)
 
     def run(self, fr: Frame, regs) -> None:
         regs[self.dst] = _scalar(fr, self.apply, regs[self.src])
@@ -925,10 +927,10 @@ class _Fuser:
 
     # -- statement-level compilation --------------------------------------
 
-    def compile_construct(self) -> "FusedConstruct":
+    def lower_construct(self) -> "FusedConstruct":
         stmt = self.stmt
         # global bails: declarations anywhere would give later statements a
-        # different environment than the flattened per-statement closures;
+        # different environment than the flattened per-statement segments;
         # control transfers out of a construct body are not a thing we can
         # segment.  ``oneof`` never reaches here (its dispatch is separate).
         bodies = [b.stmt for b in stmt.blocks]
@@ -963,7 +965,7 @@ class _Fuser:
                 continue
             self._begin_unit()
             try:
-                v = self.compile_expr(block.pred, self.top, base_reg, (), False)
+                v = self.lower_expr(block.pred, self.top, base_reg, (), False)
             except _Demote:
                 raise _Bail()
             pred_progs.append((tuple(self.charges), tuple(self.steps), v.reg))
@@ -991,7 +993,7 @@ class _Fuser:
 
         if fused_count == 0:
             # nothing actually fused: the segmented runner would only add
-            # overhead over the plain plan path
+            # overhead over the walker
             raise _Bail()
         if self.cse_on and (self.fused_texts & self.unfused_texts):
             # one cache world per construct: a text both fused (simulated
@@ -1035,7 +1037,7 @@ class _Fuser:
     def _compile_body(
         self, body: ast.Stmt, mask_reg: int, token: Tuple, inv_ctx
     ) -> Tuple[List[Tuple], int, int]:
-        """Compile one arm body into ('f', charges, steps) / ('u', plan)
+        """Compile one arm body into ('f', charges, steps) / ('u', stmt)
         segments; returns (segments, n_fused, n_unfused)."""
         segs: List[Tuple] = []
         n_fused = 0
@@ -1051,7 +1053,7 @@ class _Fuser:
                 consts_snap = len(self.consts)
                 self._begin_unit()
                 try:
-                    self.compile_expr(s.expr, self.top, mask_reg, token, False)
+                    self.lower_expr(s.expr, self.top, mask_reg, token, False)
                     segs.append(("f", tuple(self.charges), tuple(self.steps)))
                     n_fused += 1
                     continue
@@ -1061,7 +1063,7 @@ class _Fuser:
                     self.n_regs = nregs_snap
                     del self.consts[consts_snap:]
             self._note_unfused(s)
-            segs.append(("u", compile_stmt(s)))
+            segs.append(("u", s))
             n_unfused += 1
         self.inv_ctx = None
         return segs, n_fused, n_unfused
@@ -1099,7 +1101,7 @@ class _Fuser:
 
     # -- expression compilation -------------------------------------------
 
-    def compile_expr(
+    def lower_expr(
         self, node: ast.Expr, g: _GCtx, mask_reg: int, token: Tuple, view_ok: bool
     ) -> _Val:
         if self.cse_on and _cacheable(node):
@@ -1194,13 +1196,13 @@ class _Fuser:
         raise _Demote()
 
     def _compile_unary(self, node, g, mask_reg, token, view_ok) -> _Val:
-        v = self.compile_expr(node.operand, g, mask_reg, token, view_ok)
+        v = self.lower_expr(node.operand, g, mask_reg, token, view_ok)
         if node.op not in ("-", "!", "~"):
             raise _Demote()
         self._alu(g)
         if v.static is not _DYN:
             try:
-                folded = _UnaryPlan._apply(node, v.static)
+                folded = E.apply_unary(node.op, v.static, node)
             except UCRuntimeError:
                 raise _Demote()
             return self.static_val(folded)
@@ -1209,8 +1211,8 @@ class _Fuser:
         return _Val(r, v.is_array, _DYN)
 
     def _compile_binary(self, node, g, mask_reg, token, view_ok) -> _Val:
-        a = self.compile_expr(node.left, g, mask_reg, token, view_ok)
-        b = self.compile_expr(node.right, g, mask_reg, token, view_ok)
+        a = self.lower_expr(node.left, g, mask_reg, token, view_ok)
+        b = self.lower_expr(node.right, g, mask_reg, token, view_ok)
         self._alu(g)
         if a.static is not _DYN and b.static is not _DYN:
             try:
@@ -1223,7 +1225,7 @@ class _Fuser:
         return _Val(r, a.is_array or b.is_array, _DYN)
 
     def _compile_shortcircuit(self, node, g, mask_reg, token, view_ok) -> _Val:
-        a = self.compile_expr(node.left, g, mask_reg, token, view_ok)
+        a = self.lower_expr(node.left, g, mask_reg, token, view_ok)
         self._alu(g)
         if not a.is_array:
             # scalar left: C short-circuit — which side runs is data-
@@ -1234,7 +1236,7 @@ class _Fuser:
                 return self.static_val(0)
             if node.op == "||" and a.static:
                 return self.static_val(1)
-            b = self.compile_expr(node.right, g, mask_reg, token, view_ok)
+            b = self.lower_expr(node.right, g, mask_reg, token, view_ok)
             if b.static is not _DYN:
                 rv = E._truthy(b.static)
                 if isinstance(rv, np.ndarray):
@@ -1255,7 +1257,7 @@ class _Fuser:
         mr = self.reg()
         self.steps.append(_Mask(mr, mask_reg, lb.reg, invert))
         sub_token = token + (("sc", id(node)),)
-        b = self.compile_expr(node.right, g, mr, sub_token, view_ok)
+        b = self.lower_expr(node.right, g, mr, sub_token, view_ok)
         if lb.static is not _DYN and b.static is not _DYN:
             rbool = np.broadcast_to(np.asarray(E._truthy(b.static)), g.shape)
             if node.op == "&&":
@@ -1266,7 +1268,7 @@ class _Fuser:
         return _Val(r, True, _DYN)
 
     def _compile_ternary(self, node, g, mask_reg, token, view_ok) -> _Val:
-        c = self.compile_expr(node.cond, g, mask_reg, token, view_ok)
+        c = self.lower_expr(node.cond, g, mask_reg, token, view_ok)
         if not c.is_array:
             # scalar condition: which branch runs is data-dependent
             # unless the condition folds
@@ -1274,7 +1276,7 @@ class _Fuser:
                 raise _Demote()
             self._alu(g)
             chosen = node.then if c.static else node.els
-            return self.compile_expr(chosen, g, mask_reg, token, view_ok)
+            return self.lower_expr(chosen, g, mask_reg, token, view_ok)
         if c.static is not _DYN:
             cbool_v = np.broadcast_to(np.asarray(E._truthy(c.static)), g.shape)
             cb = self.static_val(cbool_v)
@@ -1284,12 +1286,12 @@ class _Fuser:
             cb = _Val(r, True, _DYN)
         mr_t = self.reg()
         self.steps.append(_Mask(mr_t, mask_reg, cb.reg, False))
-        then_v = self.compile_expr(
+        then_v = self.lower_expr(
             node.then, g, mr_t, token + (("t", id(node), True),), view_ok
         )
         mr_e = self.reg()
         self.steps.append(_Mask(mr_e, mask_reg, cb.reg, True))
-        else_v = self.compile_expr(
+        else_v = self.lower_expr(
             node.els, g, mr_e, token + (("t", id(node), False),), view_ok
         )
         self._alu(g, count=2)  # the select
@@ -1317,7 +1319,7 @@ class _Fuser:
     def _static_subs(self, node, g, mask_reg, token, view_ok) -> List[Any]:
         subs = []
         for s in node.subs:
-            sv = self.compile_expr(s, g, mask_reg, token, view_ok)
+            sv = self.lower_expr(s, g, mask_reg, token, view_ok)
             if sv.static is _DYN:
                 raise _Demote()  # dynamic subscript: tier could change
             subs.append(sv.static)
@@ -1366,9 +1368,9 @@ class _Fuser:
         self.sim_invalidate(node.base)
 
     def _compile_assign(self, node: ast.Assign, g, mask_reg, token) -> _Val:
-        value = self.compile_expr(node.value, g, mask_reg, token, False)
+        value = self.lower_expr(node.value, g, mask_reg, token, False)
         if node.op:
-            current = self.compile_expr(node.target, g, mask_reg, token, False)
+            current = self.lower_expr(node.target, g, mask_reg, token, False)
             self._alu(g)
             if current.static is not _DYN and value.static is not _DYN:
                 try:
@@ -1426,58 +1428,11 @@ class _Fuser:
             sets.append(isv)
         return sets
 
-    def _send_reduce_provably_off(self, node, g, sets) -> bool:
-        """True when ``try_send_reduce`` provably returns None whatever the
-        runtime mask is, so the naive reduction path (the one we fuse) is
-        the path the engine takes.  Mirrors the gate cascade of
-        :func:`repro.interp.sendreduce.try_send_reduce`; every gate here
-        is evaluated before that function's first ``eval_expr``, and the
-        only dynamic gate it skips (the partial-mask test) is
-        side-effect-free, so a later static gate rejecting is decisive.
-        """
-        if not self.ip.processor_opt:
-            return True
-        from .sendreduce import _COMBINE_AT, _free_names, _split_partition_pred
-
-        if (
-            node.op not in _COMBINE_AT
-            or node.others is not None
-            or len(node.arms) != 1
-        ):
-            return True
-        arm = node.arms[0]
-        if arm.pred is None:
-            return True
-        if g.grid.rank != 1:
-            return True
-        red_elems = {s.elem_name for s in sets}
-        parent_elems = set(g.grid.axis_elems) - red_elems
-        if not parent_elems:
-            return True
-        if _split_partition_pred(arm.pred, parent_elems, red_elems) is None:
-            return True
-        n_pes = self.ip.machine.config.n_pes
-        product_vps = g.grid.size
-        operand_vps = 1
-        for s in sets:
-            product_vps *= len(s)
-            operand_vps *= len(s)
-        ratio_naive = max(1, math.ceil(product_vps / n_pes))
-        ratio_opt = max(1, math.ceil(max(operand_vps, g.grid.size) / n_pes))
-        if ratio_naive <= ratio_opt:
-            return True
-        split = _split_partition_pred(arm.pred, parent_elems, red_elems)
-        if split is not None and split[1] != g.grid.axes[0].elem:
-            return True
-        if _free_names(arm.expr) & parent_elems:
-            return True
-        return False
-
     def _compile_reduction(self, node: ast.Reduction, g, mask_reg, token) -> _Val:
         if node.op == "arbitrary" or node.op not in E._RED_UFUNC:
             raise _Demote()  # RNG / host-side combine
         sets = self._resolve_sets(node, g)
-        if not self._send_reduce_provably_off(node, g, sets):
+        if self.ip.processor_opt and send_reduce_split(self.ip, node, g.grid, sets):
             raise _Demote()  # the send-reduce path could fire at run time
         inner_grid = g.grid.extend(sets)
         extra = dict(g.env_extra)
@@ -1497,10 +1452,7 @@ class _Fuser:
         self.charges.append(
             ("r", node.op, order_safe, reduce_extent, gi.vp_ratio, gi.shape)
         )
-        pure = not any(
-            isinstance(n, (ast.Call, ast.Assign, ast.IncDec))
-            for n in ast.walk(node)
-        )
+        pure = E.is_pure(node)
         base_reg = self.reg()
         rtoken = token + (("r", id(node)),)
         arms = []
@@ -1510,21 +1462,21 @@ class _Fuser:
                 atoken = rtoken
             else:
                 psteps = self._sub_steps(
-                    lambda: self.compile_expr(arm.pred, gi, base_reg, rtoken, pure)
+                    lambda: self.lower_expr(arm.pred, gi, base_reg, rtoken, pure)
                 )
                 psteps, pv = psteps
                 pout = pv.reg
                 atoken = rtoken + (("ra", k),)
             amreg = self.reg()
             esteps, ev = self._sub_steps(
-                lambda: self.compile_expr(arm.expr, gi, amreg, atoken, pure)
+                lambda: self.lower_expr(arm.expr, gi, amreg, atoken, pure)
             )
             arms.append((psteps, pout, amreg, esteps, ev.reg))
         others = None
         if node.others is not None:
             omreg = self.reg()
             osteps, ov = self._sub_steps(
-                lambda: self.compile_expr(
+                lambda: self.lower_expr(
                     node.others, gi, omreg, rtoken + (("ra", -1),), pure
                 )
             )
@@ -1627,7 +1579,7 @@ class FusedConstruct:
 
     def validate(self, ip, inner) -> bool:
         """Re-check every binding the compile specialised on.  A False here
-        is a per-sweep fallback to the plan engine, not an error.
+        is a per-sweep fallback to the walker, not an error.
 
         Scalar and array bindings are compared structurally, not by
         identity: the kernel may be served from the shared compile store
@@ -1757,7 +1709,7 @@ class FusedConstruct:
 
     def run_arm(self, sweep: _Sweep, segs, mask_reg: int, mask, inner) -> None:
         """Run one arm body's segments under ``mask``; unfused segments
-        run their plan closure in ``inner`` (solo sweeps only)."""
+        run on the walker in ``inner`` (solo sweeps only)."""
         fr = sweep.frame
         regs = sweep.regs
         regs[mask_reg] = mask
@@ -1770,7 +1722,7 @@ class FusedConstruct:
             else:
                 if sub is None:
                     sub = inner.with_mask(mask)
-                seg[1](fr.ip, sub)
+                exec_stmt(fr.ip, seg[1], sub)
 
     def begin_sweep(self, ip, inner) -> _Sweep:
         """Start one solo sweep: the predicates over the active mask."""
@@ -1807,7 +1759,7 @@ class FusedConstruct:
 
 def _build(ip, stmt: ast.UCStmt, inner):
     try:
-        return _Fuser(ip, stmt, inner).compile_construct()
+        return _Fuser(ip, stmt, inner).lower_construct()
     except _Bail:
         return _UNFUSABLE
 
@@ -1833,18 +1785,19 @@ def _note_fusion(ip, stmt, sig, fused) -> None:
     clock.count_fusion("unfused_segments", fused.unfused_count)
 
 
-def fused_for(ip, stmt: ast.UCStmt, inner, plans) -> Optional[FusedConstruct]:
-    """The fused kernel for one construct sweep, or None to take the
-    ordinary plan path.
+def fused_for(ip, stmt: ast.UCStmt, inner) -> Optional[FusedConstruct]:
+    """The fused kernel for one construct sweep, or None to run it on the
+    walker.
 
-    Gates, in order: plans must be on (fusion builds on the plan memos'
-    semantics), the fusion flag and escape hatch, no tier log (covers the
+    Gates, in order: plans must be on (fusion builds on the reference
+    maps' semantics; ``plans=False`` keeps the memo-free walker the
+    reference), the fusion flag and escape hatch, no tier log (covers the
     sanitizer, which forces tier logging), no armed faults (a mid-sweep
     ``fault_point`` must interleave with individual charges), and a fully
     active construct context.  A cached kernel still revalidates its
     binding specialisations every sweep.
     """
-    if plans is None or not getattr(ip, "fusion_enabled", False):
+    if not (ip.plans_enabled and ip.fusion_enabled):
         return None
     if ip.tier_log is not None or getattr(ip, "sanitizer", None) is not None:
         return None

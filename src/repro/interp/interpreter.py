@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from typing import (
+    Any,
     Dict,
     FrozenSet,
     Hashable,
@@ -73,7 +74,7 @@ class EngineFlags(NamedTuple):
 
     This tuple *is* the engine-flags signature of the content-addressed
     compile store (:mod:`repro.interp.compile_store`): two runs share
-    compiled plans/kernels only when their resolved flags are equal, so
+    reference memos and kernels only when their resolved flags are equal, so
     flipping e.g. ``REPRO_NO_COMM_TIERS`` between runs can never reuse
     a kernel whose tier decisions were compiled under the other setting.
     """
@@ -175,9 +176,12 @@ class Interpreter:
         self.cse_keys: Dict[int, str] = {}
         # names read by each CSE key text, for targeted invalidation
         self.cse_text_names: Dict[str, FrozenSet[str]] = {}
-        # compiled-plan execution (tree-walker stays available as the
-        # oracle: plans=False or REPRO_NO_PLANS=1 in the environment)
+        # memoised reference maps (see repro.interp.plan); plans=False or
+        # REPRO_NO_PLANS=1 leaves the walker memo-free, as the oracle
         self.plans_enabled = flags.plans
+        # id(node) -> last value of a static subtree, for this run (see
+        # eval_expr._static_apply)
+        self.static_values: Dict[int, Any] = {}
         # the plan cache may be injected — a shared, content-addressed
         # entry of the compile store (see UCProgram.run) whose keys pin
         # the machine config and effective flags, so cross-run reuse can
@@ -198,7 +202,7 @@ class Interpreter:
         # kernel fusion: iterated construct bodies lowered to whole-array
         # register programs with static charge tables (see
         # :mod:`repro.interp.fuse`); fusion=False or REPRO_NO_FUSION=1
-        # restores the per-closure plan engine, bit-identically
+        # runs every construct on the walker, bit-identically
         self.fusion_enabled = flags.fusion
         # runtime sanitizer (REPRO_SANITIZE=1 / sanitize=True): static
         # claims from the analyzer, cross-checked against observed

@@ -1,35 +1,28 @@
-"""Compile-to-closure execution plans for par / seq / oneof / solve bodies.
+"""Memoised reference maps: what the walker caches about array references.
 
-The tree-walking evaluator in :mod:`repro.interp.eval_expr` re-derives a
-lot of *static* information on every sweep of an iterated construct:
-reference classification (``classify_reference`` walks every subscript),
-subscript clipping/broadcasting, bounds masks, readiness index vectors.
-A plan lowers an already-semantically-checked AST subtree **once** into a
-tree of Python closures; per-node memos then cache the static derivations
-across sweeps, keyed by what could actually change (grid axes, the
-resolved bindings of the free names, the array's layout and shape).
+The evaluator in :mod:`repro.interp.eval_expr` is the one expression and
+statement walker.  Most of what it re-derives on every sweep of an
+iterated construct is cheap, but an array reference is not: reference
+classification (``classify_reference`` walks every subscript), the tier
+decision, subscript clipping and broadcasting, bounds masks and flat
+store indices.  With plans on (``UCProgram(plans=True)``, the default),
+:func:`charged_map` and :func:`flag_map` cache that derivation per
+``ast.Index`` node, in a :class:`RefMemo` held by the interpreter's plan
+cache under kind ``"ref"``; ``plans=False`` or ``REPRO_NO_PLANS=1``
+leaves the walker memo-free, as the differential reference.
 
-The contract is strict *observational equivalence* with the tree-walker:
+A memo never skips operand evaluation: the walker evaluates (and
+charges) every subscript, and the memo only replaces the classification
+and the index lowering once the subscripts are known static.  An entry
+is valid only when the grid axes match and the free names resolve to
+the same axis/constant bindings (re-checked every execution: cheap dict
+lookups guard against shadowing).  Entries live in a bounded per-node
+table (:class:`_MemoTable`) keyed additionally on the access direction
+and the array's layout, view shape and dtype — never on the
+:class:`ArrayVar` — so they serve every ``seq`` step and every later run
+of the program through a shared compile store.
 
-* every ``Clock`` charge is issued in the same order with the same
-  arguments (the cost model adds a dispatch charge per call, so the call
-  *sequence* matters, not just totals);
-* the CSE cache is consulted/filled through the same
-  ``_cse_lookup``/``_cse_store`` helpers with the same keys;
-* every RNG draw (``rand``, ``$,``, ``oneof`` picks) happens in the same
-  order;
-* all error paths raise the same exceptions.
-
-Memos therefore never skip operand evaluation — they only skip the final
-ufunc / gather / classification once the operands are known static.  A
-memo is valid only when the grid axes match and the free names resolve
-to the same axis/constant bindings (re-checked every execution: cheap
-dict lookups guard against shadowing).  Array-reference memos live in a
-bounded per-node table (:class:`_MemoTable`) keyed additionally on the
-array's layout, view shape and dtype — never on the :class:`ArrayVar` —
-so they serve every ``seq`` step and every later run of the program.
-
-Every array reference a plan compiles — gathers, scatters, solve
+Every memoised reference — gathers, scatters, the ``swap`` builtin, solve
 readiness and ``defined`` marking — lowers its static subscripts through
 one :class:`RefMap` (built by :func:`ref_map`), which the fused register
 programs of :mod:`repro.interp.fuse` share.  A read map holds a NEWS
@@ -39,7 +32,7 @@ varying axis plus a broadcast, which is the big win for ``solve`` sweeps
 (e.g. ``dist[i][k]`` over an (i,j,k) grid: a 64×64 take instead of a 64³
 gather).  Inside pure reductions the broadcast *view* is returned
 directly (``view_ok``); the reduction materialises it before any write
-can occur.
+can occur, and the CSE cache stores a copy.
 """
 
 from __future__ import annotations
@@ -50,13 +43,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..lang import ast
-from ..lang.errors import UCRuntimeError
-from ..machine.scan import INF
 from ..mapping.locality import classify_reference, classify_write
 from . import commtiers
 from . import eval_expr as E
-from .eval_expr import ExecContext
-from .values import ArrayVar, ElementBinding, ParallelLocal, ScalarVar
+from .values import ElementBinding
 
 _TRUE = np.asarray(True)
 
@@ -96,7 +86,7 @@ def _joint_static_names(nodes) -> Optional[Tuple[str, ...]]:
     return tuple(names)
 
 
-def _binding_sig(names: Optional[Tuple[str, ...]], ctx: ExecContext):
+def _binding_sig(names: Optional[Tuple[str, ...]], ctx):
     """Hashable signature of how ``names`` resolve right now, or None if
     any resolves to something mutable (then memoisation is unsound)."""
     if names is None:
@@ -114,10 +104,6 @@ def _binding_sig(names: Optional[Tuple[str, ...]], ctx: ExecContext):
         else:
             return None
     return tuple(sig)
-
-
-def _axes_match(a, b) -> bool:
-    return a is b or a == b
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +129,9 @@ def _held_bytes(*parts) -> int:
 
 
 class _MemoTable:
-    """The memos of one plan node, keyed by what their contents depend on.
+    """The memos of one reference node, keyed by what they depend on.
 
-    Plans live in a shared compile store, so one table serves every
+    Memos live in a shared compile store, so one table serves every
     ``seq`` step and every run of its program.  Entries hold only
     derived index data, never an array's field data; the oldest entries
     go first once the table exceeds :data:`MEMO_ENTRIES` entries or
@@ -177,13 +163,13 @@ class _MemoTable:
             self.nbytes -= entries.pop(next(iter(entries))).nbytes
 
 
-def _memo_key(names, ctx: ExecContext, *where):
+def _memo_key(names, ctx, *where):
     """Memo key of one array reference, or None when it is not static.
 
     The subscripts are fixed by the binding signature and the grid axes;
     the classification, tier and index recipes then depend only on
-    ``where`` — the array's layout, view shape and dtype (for solve's
-    ``defined`` flags, their shape).  The machine cost table and engine
+    ``where`` — the access direction and the array's layout, view shape
+    and dtype (for solve's ``defined`` flags, their shape).  The machine cost table and engine
     flags are fixed per plan cache (the compile store keys its backends
     on them).
     """
@@ -385,8 +371,9 @@ def _out_of_bounds(subs, view_shape, grid_shape):
 class RefMap:
     """How one static subscript tuple reaches memory.
 
-    Every compiled array reference — plan gathers and scatters, solve
-    readiness and ``defined`` marking, fused gather and scatter steps —
+    Every memoised array reference — the walker's gathers and scatters,
+    solve readiness and ``defined`` marking, fused gather and scatter
+    steps —
     holds the map :func:`ref_map` built for it and goes through
     :meth:`check`, :meth:`take` and :meth:`store`.  A read map holds one
     of a NEWS shift, a take recipe or clipped index arrays; a write map
@@ -538,1001 +525,71 @@ def ref_map(
 
 
 # ---------------------------------------------------------------------------
-# expression plans
+# per-reference memos
 # ---------------------------------------------------------------------------
 
 
-class _CseWrapped:
-    """The eval_expr CSE gate, replayed around a compiled expression."""
+class RefMemo:
+    """The memos of one ``ast.Index`` node: the free names its subscripts
+    are static in (None when some subscript is not static) and a bounded
+    table of the :class:`RefMap` entries built for it."""
 
-    __slots__ = ("node", "inner")
+    __slots__ = ("names", "table")
 
-    def __init__(self, node: ast.Expr, inner) -> None:
-        self.node = node
-        self.inner = inner
-
-    def __call__(self, ip, ctx: ExecContext):
-        if ip.cse_cache is not None and not ctx.grid.is_host:
-            cached = E._cse_lookup(ip, self.node, ctx)
-            if cached is not E._CSE_MISS:
-                return cached
-            value = self.inner(ip, ctx)
-            if isinstance(value, np.ndarray) and not value.flags.writeable:
-                # never let a live view of array data into the CSE cache: a
-                # later write in the same statement must not change the
-                # cached value (the tree-walker caches materialised arrays)
-                value = value.copy()
-            E._cse_store(ip, self.node, ctx, value)
-            return value
-        return self.inner(ip, ctx)
-
-
-class _ConstPlan:
-    __slots__ = ("value",)
-
-    def __init__(self, value) -> None:
-        self.value = value
-
-    def __call__(self, ip, ctx: ExecContext):
-        return self.value
-
-
-class _NamePlan:
-    __slots__ = ("node",)
-
-    def __init__(self, node: ast.Name) -> None:
-        self.node = node
-
-    def __call__(self, ip, ctx: ExecContext):
-        return E._eval_name(ip, self.node, ctx)
-
-
-class _UnaryPlan:
-    __slots__ = ("node", "operand", "names", "_memo")
-
-    def __init__(self, node, operand, names) -> None:
-        self.node = node
-        self.operand = operand
-        self.names = names
-        self._memo = None
-
-    def __call__(self, ip, ctx: ExecContext):
-        node = self.node
-        v = self.operand(ip, ctx)
-        E.charge_grid_op(ip, ctx)
-        if self.names is not None:
-            sig = _binding_sig(self.names, ctx)
-            m = self._memo
-            if (
-                m is not None
-                and sig is not None
-                and sig == m[1]
-                and _axes_match(m[0], ctx.grid.axes)
-            ):
-                return m[2]
-            value = self._apply(node, v)
-            if sig is not None:
-                self._memo = (ctx.grid.axes, sig, value)
-            return value
-        return self._apply(node, v)
-
-    @staticmethod
-    def _apply(node, v):
-        if node.op == "-":
-            return -v
-        if node.op == "!":
-            if isinstance(v, np.ndarray):
-                return np.logical_not(v.astype(bool)).astype(np.int64)
-            return int(not v)
-        if node.op == "~":
-            if isinstance(v, np.ndarray):
-                return np.invert(v.astype(np.int64))
-            return ~int(v)
-        raise UCRuntimeError(f"bad unary {node.op!r}", node.line, node.col)
-
-
-class _BinaryPlan:
-    __slots__ = ("node", "left", "right", "names", "_memo")
-
-    def __init__(self, node, left, right, names) -> None:
-        self.node = node
-        self.left = left
-        self.right = right
-        self.names = names
-        self._memo = None
-
-    def __call__(self, ip, ctx: ExecContext):
-        node = self.node
-        a = self.left(ip, ctx)
-        b = self.right(ip, ctx)
-        E.charge_grid_op(ip, ctx)
-        if self.names is not None:
-            sig = _binding_sig(self.names, ctx)
-            m = self._memo
-            if (
-                m is not None
-                and sig is not None
-                and sig == m[1]
-                and _axes_match(m[0], ctx.grid.axes)
-            ):
-                return m[2]
-            value = E.apply_binop(node.op, a, b, node)
-            if sig is not None:
-                self._memo = (ctx.grid.axes, sig, value)
-            return value
-        return E.apply_binop(node.op, a, b, node)
-
-
-class _ShortCircuitPlan:
-    __slots__ = ("node", "left", "right", "names", "_memo")
-
-    def __init__(self, node, left, right, names) -> None:
-        self.node = node
-        self.left = left
-        self.right = right
-        self.names = names
-        self._memo = None
-
-    def __call__(self, ip, ctx: ExecContext):
-        expr = self.node
-        left = self.left(ip, ctx)
-        E.charge_grid_op(ip, ctx)
-        if not isinstance(left, np.ndarray):
-            if expr.op == "&&" and not left:
-                return 0
-            if expr.op == "||" and left:
-                return 1
-            right = E._truthy(self.right(ip, ctx))
-            if isinstance(right, np.ndarray):
-                return right.astype(np.int64)
-            return int(right)
-        lbool = np.broadcast_to(np.asarray(E._truthy(left)), ctx.grid.shape)
-        live = lbool if expr.op == "&&" else ~lbool
-        sub = ctx.refine(live)
-        right = self.right(ip, sub)
-        if self.names is not None:
-            sig = _binding_sig(self.names, ctx)
-            m = self._memo
-            if (
-                m is not None
-                and sig is not None
-                and sig == m[1]
-                and _axes_match(m[0], ctx.grid.axes)
-            ):
-                return m[2]
-            value = self._combine(expr, lbool, right, ctx)
-            if sig is not None:
-                self._memo = (ctx.grid.axes, sig, value)
-            return value
-        return self._combine(expr, lbool, right, ctx)
-
-    @staticmethod
-    def _combine(expr, lbool, right, ctx):
-        rbool = np.broadcast_to(np.asarray(E._truthy(right)), ctx.grid.shape)
-        if expr.op == "&&":
-            return (lbool & rbool).astype(np.int64)
-        return (lbool | rbool).astype(np.int64)
-
-
-class _TernaryPlan:
-    __slots__ = ("node", "cond", "then", "els", "names", "_memo")
-
-    def __init__(self, node, cond, then, els, names) -> None:
-        self.node = node
-        self.cond = cond
-        self.then = then
-        self.els = els
-        self.names = names
-        self._memo = None
-
-    def __call__(self, ip, ctx: ExecContext):
-        cond = self.cond(ip, ctx)
-        if ctx.grid.is_host or not isinstance(cond, np.ndarray):
-            E.charge_grid_op(ip, ctx)
-            return self.then(ip, ctx) if cond else self.els(ip, ctx)
-        cbool = np.broadcast_to(np.asarray(E._truthy(cond)), ctx.grid.shape)
-        then_v = self.then(ip, ctx.refine(cbool))
-        else_v = self.els(ip, ctx.refine(~cbool))
-        E.charge_grid_op(ip, ctx, count=2)
-        if self.names is not None:
-            sig = _binding_sig(self.names, ctx)
-            m = self._memo
-            if (
-                m is not None
-                and sig is not None
-                and sig == m[1]
-                and _axes_match(m[0], ctx.grid.axes)
-            ):
-                return m[2]
-            value = np.where(cbool, then_v, else_v)
-            if sig is not None:
-                self._memo = (ctx.grid.axes, sig, value)
-            return value
-        return np.where(cbool, then_v, else_v)
-
-
-def _log_tier(ip, node, tier: str) -> None:
-    if ip.tier_log is not None:
-        ip.tier_log.setdefault((node.line, node.base), set()).add(tier)
-
-
-def _view(ip, node: ast.Index, ctx: ExecContext):
-    """(array, the data view ``node`` indexes, whether its maps may be
-    memoised); raises the engines' subscript-count error."""
-    binding = ctx.env.lookup(node.base)
-    if isinstance(binding, ArrayVar):
-        arr, data, direct = binding, binding.data, True
-    else:
-        arr, _prefix, data = E._resolve_array(ip, node, ctx)
-        direct = False
-    if len(node.subs) != data.ndim:
-        raise UCRuntimeError(
-            f"array {node.base!r} needs {data.ndim} subscripts, got "
-            f"{len(node.subs)}",
-            node.line,
-            node.col,
-        )
-    return arr, data, direct
-
-
-class _RefPlan:
-    """One compiled array reference: its subscript plans and a bounded
-    table of :class:`RefMap` memos."""
-
-    __slots__ = ("node", "subs", "names", "_memo")
-
-    def __init__(self, node: ast.Index, view_ok: bool = False) -> None:
-        self.node = node
-        self.subs = [compile_expr(s, view_ok) for s in node.subs]
+    def __init__(self, node: ast.Index) -> None:
         self.names = _joint_static_names(node.subs)
-        self._memo = _MemoTable()
+        self.table = _MemoTable()
 
-    def _charged_map(self, ip, ctx, arr, data, direct, subs, write) -> RefMap:
-        """The reference's map, bounds-checked and charged for this
-        execution.  A miss classifies the subscripts; the router-only
-        ablation services remote reads by the full general gather every
-        sweep, exactly as the tree-walker does — no recipe, no memo."""
-        node = self.node
-        key = (
-            _memo_key(self.names, ctx, arr.layout, data.shape, data.dtype)
-            if direct
-            else None
+
+def charged_map(ip, node: ast.Index, ctx, arr, data, direct, subs, write) -> RefMap:
+    """The map of one array reference, bounds-checked and charged for this
+    execution.
+
+    ``direct`` says the reference indexes a whole program array (not a
+    slice parameter), so its maps may be memoised.  A miss classifies
+    the subscripts; the router-only ablation services remote reads by
+    the full general gather every sweep, exactly as the memo-free walker
+    does — no recipe, no memo.
+    """
+    key = None
+    if direct:
+        memo = ip.plan_cache.get_or_build("ref", node, None, lambda: RefMemo(node))
+        key = _memo_key(memo.names, ctx, write, arr.layout, data.shape, data.dtype)
+    m = memo.table.get(key) if key is not None else None
+    if m is None:
+        classify = classify_write if write else classify_reference
+        grid = ctx.grid
+        rc = classify(
+            subs, grid.shape, grid.axis_elems, arr.layout, positions=grid.positions
         )
-        m = self._memo.get(key) if key is not None else None
-        if m is None:
-            classify = classify_write if write else classify_reference
-            grid = ctx.grid
-            rc = classify(
-                subs, grid.shape, grid.axis_elems, arr.layout, positions=grid.positions
-            )
-            tier = commtiers.decide_tier(
-                rc, ip.machine.clock.costs, write=write, enabled=ip.comm_tiers_enabled
-            )
-            memo = key is not None and (
-                write or ip.comm_tiers_enabled or tier == "local"
-            )
-            m = ref_map(
-                subs, data.shape, grid.shape, rc=rc, tier=tier, write=write, memo=memo
-            )
-            if memo:
-                self._memo.put(key, m)
-        m.check(node, ctx.active_mask())
-        commtiers.charge_tier(ip, ctx, m.tier, m.rc, write=write, layout=arr.layout)
-        _log_tier(ip, node, m.tier)
-        return m
-
-    def _flag_map(self, ip, ctx, flags: np.ndarray, write: bool) -> RefMap:
-        """The map into solve's ``defined`` flags (no charges, no checks:
-        out-of-range lanes read as undefined and mark clipped)."""
-        subs = [p(ip, ctx) for p in self.subs]
-        key = _memo_key(self.names, ctx, flags.shape)
-        m = self._memo.get(key) if key is not None else None
-        if m is None:
-            m = ref_map(
-                subs, flags.shape, ctx.grid.shape, write=write, memo=key is not None
-            )
-            if key is not None:
-                self._memo.put(key, m)
-        return m
-
-
-class _GatherPlan(_RefPlan):
-    __slots__ = ("view_ok",)
-
-    def __init__(self, node: ast.Index, view_ok: bool) -> None:
-        super().__init__(node, view_ok)
-        self.view_ok = view_ok
-
-    def __call__(self, ip, ctx: ExecContext):
-        node = self.node
-        arr, data, direct = _view(ip, node, ctx)
-        subs = [p(ip, ctx) for p in self.subs]
-        if ctx.grid.is_host:
-            idx = tuple(int(s) for s in subs)
-            E._bounds_check(node, subs, data.shape, np.ones((), bool))
-            ip.machine.clock.charge("host_cm_latency")
-            return data[idx].item()
-        m = self._charged_map(ip, ctx, arr, data, direct, subs, write=False)
-        return m.take(data, view_ok=self.view_ok)
-
-
-class _ScatterPlan(_RefPlan):
-    __slots__ = ()
-
-    def __call__(self, ip, value, ctx: ExecContext) -> None:
-        node = self.node
-        arr, data, direct = _view(ip, node, ctx)
-        subs = [p(ip, ctx) for p in self.subs]
-        if ctx.grid.is_host:
-            idx = tuple(int(s) for s in subs)
-            E._bounds_check(node, subs, data.shape, np.ones((), bool))
-            ip.machine.clock.charge("host_cm_latency")
-            data[idx] = E._coerce_to_dtype(value, data.dtype)
-            ip.cse_invalidate(node.base)
-            return
-        mask = ctx.active_mask()
-        if not np.any(mask):
-            return
-        m = self._charged_map(ip, ctx, arr, data, direct, subs, write=True)
-        written = m.store(
-            data, value, mask, node, getattr(ip, "current_construct", None)
+        tier = commtiers.decide_tier(
+            rc, ip.machine.clock.costs, write=write, enabled=ip.comm_tiers_enabled
         )
-        if getattr(ip, "sanitizer", None) is not None:
-            ip.sanitizer.record_write(
-                node,
-                (not m.unique) and bool(np.unique(written).size < written.size),
-            )
-        ip.cse_invalidate(node.base)
-
-
-class _AssignPlan:
-    __slots__ = ("node", "value", "read", "scatter")
-
-    def __init__(self, node, value, read, scatter) -> None:
-        self.node = node
-        self.value = value
-        self.read = read
-        self.scatter = scatter
-
-    def __call__(self, ip, ctx: ExecContext):
-        node = self.node
-        value = self.value(ip, ctx)
-        if node.op:
-            current = self.read(ip, ctx)
-            E.charge_grid_op(ip, ctx)
-            value = E.apply_binop(node.op, current, value, node)
-        if self.scatter is not None:
-            self.scatter(ip, value, ctx)
-            return value
-        target = node.target
-        assert isinstance(target, ast.Name)
-        binding = ctx.env.lookup(target.ident)
-        if isinstance(binding, ScalarVar):
-            E._assign_scalar(ip, binding, value, ctx, node)
-            return value
-        if isinstance(binding, ParallelLocal):
-            E._assign_parallel_local(ip, binding, value, ctx, node)
-            return value
-        if isinstance(binding, ElementBinding):
-            raise UCRuntimeError(
-                f"cannot assign to index element {target.ident!r}",
-                node.line,
-                node.col,
-            )
-        raise UCRuntimeError(
-            f"cannot assign to {target.ident!r}", node.line, node.col
+        keep = key is not None and (write or ip.comm_tiers_enabled or tier == "local")
+        m = ref_map(
+            subs, data.shape, grid.shape, rc=rc, tier=tier, write=write, memo=keep
         )
-
-
-class _CallPlan:
-    """Compiled pure builtins and ``rand``; everything else delegates
-    verbatim."""
-
-    __slots__ = ("node", "args", "builtin")
-
-    def __init__(self, node, args) -> None:
-        from .functions import PURE_BUILTINS
-
-        self.node = node
-        self.args = args
-        builtin = PURE_BUILTINS.get(node.func)
-        if builtin is not None and builtin.arity == len(args):
-            self.builtin = builtin
-        elif node.func == "rand" and not args:
-            self.builtin = "rand"
-        else:
-            self.builtin = None
-
-    def __call__(self, ip, ctx: ExecContext):
-        node = self.node
-        builtin = self.builtin
-        if builtin is None or ip.info.functions.get(node.func) is not None:
-            return ip.call_function(node, ctx)
-        if builtin == "rand":
-            from .functions import RAND_MAX
-
-            E.charge_grid_op(ip, ctx)
-            if ctx.grid.is_host:
-                return int(ip.rng.integers(0, RAND_MAX))
-            return ip.rng.integers(0, RAND_MAX, size=ctx.grid.shape)
-        args = [a(ip, ctx) for a in self.args]
-        E.charge_grid_op(ip, ctx, count=builtin.alu)
-        return builtin.value(node, *args)
-
-
-class _SwapPlan:
-    """``swap(x[..], y[..])``: both gathers, then both scatters, in the
-    order of :func:`repro.interp.functions._builtin_swap` (which stays
-    the tree oracle, and still serves a user ``swap`` and host calls)."""
-
-    __slots__ = ("node", "reads", "writes")
-
-    def __init__(self, node) -> None:
-        self.node = node
-        self.reads = tuple(_GatherPlan(a, False) for a in node.args)
-        self.writes = tuple(_ScatterPlan(a) for a in node.args)
-
-    def __call__(self, ip, ctx: ExecContext):
-        node = self.node
-        if ctx.grid.is_host or ip.info.functions.get(node.func) is not None:
-            return ip.call_function(node, ctx)
-        read_x, read_y = self.reads
-        write_x, write_y = self.writes
-        x = read_x(ip, ctx)
-        y = read_y(ip, ctx)
-        write_x(ip, y, ctx)
-        write_y(ip, x, ctx)
-        return 0
-
-
-class _ReductionPlan:
-    __slots__ = ("node", "arms", "others")
-
-    def __init__(self, node, arms, others) -> None:
-        self.node = node
-        self.arms = arms  # [(pred_plan|None, expr_plan)]
-        self.others = others
-
-    def __call__(self, ip, ctx: ExecContext):
-        node = self.node
-        if ip.processor_opt:
-            from .sendreduce import try_send_reduce
-
-            optimized = try_send_reduce(ip, node, ctx)
-            if optimized is not None:
-                return optimized
-        sets = [ip.resolve_index_set(name, ctx, at=node) for name in node.index_sets]
-        inner_grid = ctx.grid.extend(sets)
-        inner_env = ctx.env.child()
-        for offset, isv in enumerate(sets):
-            axis = ctx.grid.rank + offset
-            inner_env.declare(
-                isv.elem_name,
-                ElementBinding(isv.elem_name, isv.name, "axis", axis=axis),
-            )
-        parent_mask = ctx.mask
-        if parent_mask is not None:
-            base_mask = np.broadcast_to(
-                parent_mask.reshape(parent_mask.shape + (1,) * len(sets)),
-                inner_grid.shape,
-            )
-        else:
-            base_mask = inner_grid.full_mask()
-        inner = ExecContext(inner_grid, base_mask, inner_env)
-
-        reduce_axes = tuple(range(ctx.grid.rank, inner_grid.rank))
-        reduce_extent = int(np.prod([len(s) for s in sets]))
-        vps = ip.grid_vpset(inner_grid.shape)
-        ip.machine.clock.charge_scan(reduce_extent, vp_ratio=vps.vp_ratio)
-        if node.op != "arbitrary":
-            # shard accounting consults the UC5xx verdict (see eval_expr)
-            ip.machine.clock.note_shard_reduce(
-                node.op,
-                ip.reduction_order_safe(node),
-                reduce_extent,
-                vps.vp_ratio,
-                inner_grid.shape,
-            )
-        if ctx.grid.is_host:
-            ip.machine.clock.charge("host_cm_latency")
-
-        arm_values: List[np.ndarray] = []
-        arm_masks: List[np.ndarray] = []
-        pred_union: Optional[np.ndarray] = None
-        for pred_plan, expr_plan in self.arms:
-            if pred_plan is None:
-                arm_mask = base_mask
-            else:
-                pred_v = pred_plan(ip, inner)
-                pv = np.broadcast_to(np.asarray(E._truthy(pred_v)), inner_grid.shape)
-                arm_mask = base_mask & pv
-                pred_union = pv if pred_union is None else (pred_union | pv)
-            val = expr_plan(ip, inner.with_mask(arm_mask))
-            arm_values.append(np.broadcast_to(np.asarray(val), inner_grid.shape))
-            arm_masks.append(arm_mask)
-        if self.others is not None:
-            others_mask = base_mask & (
-                ~pred_union
-                if pred_union is not None
-                else np.zeros(inner_grid.shape, bool)
-            )
-            val = self.others(ip, inner.with_mask(others_mask))
-            arm_values.append(np.broadcast_to(np.asarray(val), inner_grid.shape))
-            arm_masks.append(others_mask)
-
-        if node.op == "arbitrary":
-            result = E._reduce_arbitrary(ip, arm_values, arm_masks, reduce_axes, ctx)
-        else:
-            result = E._reduce_op(node.op, arm_values, arm_masks, reduce_axes)
-            if getattr(ip, "sanitizer", None) is not None:
-                ip.sanitizer.check_reduction(
-                    node, arm_values, arm_masks, reduce_axes, result
-                )
-
-        if ctx.grid.is_host:
-            return (
-                result.item()
-                if isinstance(result, np.ndarray) and result.ndim == 0
-                else result
-            )
-        return result
-
-
-class _RaisePlan:
-    __slots__ = ("node",)
-
-    def __init__(self, node) -> None:
-        self.node = node
-
-    def __call__(self, ip, ctx: ExecContext):
-        raise UCRuntimeError(
-            f"cannot evaluate {type(self.node).__name__}",
-            self.node.line,
-            self.node.col,
-        )
-
-
-# ---------------------------------------------------------------------------
-# expression compilation
-# ---------------------------------------------------------------------------
-
-
-def compile_expr(node: ast.Expr, view_ok: bool = False):
-    """Compile one expression into a closure ``(ip, ctx) -> value``."""
-    inner = _compile_inner(node, view_ok)
-    if isinstance(node, (ast.Binary, ast.Index, ast.Unary, ast.Ternary)):
-        return _CseWrapped(node, inner)
-    return inner
-
-
-def _compile_inner(node: ast.Expr, view_ok: bool):
-    if isinstance(node, ast.IntLit):
-        return _ConstPlan(node.value)
-    if isinstance(node, ast.FloatLit):
-        return _ConstPlan(node.value)
-    if isinstance(node, ast.InfLit):
-        return _ConstPlan(INF)
-    if isinstance(node, ast.StringLit):
-        return _ConstPlan(node.value)
-    if isinstance(node, ast.Name):
-        return _NamePlan(node)
-    if isinstance(node, ast.Index):
-        return _GatherPlan(node, view_ok)
-    if isinstance(node, ast.Unary):
-        return _UnaryPlan(
-            node, compile_expr(node.operand, view_ok), _static_names(node)
-        )
-    if isinstance(node, ast.Binary):
-        left = compile_expr(node.left, view_ok)
-        right = compile_expr(node.right, view_ok)
-        if node.op in ("&&", "||"):
-            return _ShortCircuitPlan(node, left, right, _static_names(node))
-        return _BinaryPlan(node, left, right, _static_names(node))
-    if isinstance(node, ast.Ternary):
-        return _TernaryPlan(
-            node,
-            compile_expr(node.cond, view_ok),
-            compile_expr(node.then, view_ok),
-            compile_expr(node.els, view_ok),
-            _static_names(node),
-        )
-    if isinstance(node, ast.Call):
-        if (
-            node.func == "swap"
-            and len(node.args) == 2
-            and all(isinstance(a, ast.Index) for a in node.args)
-        ):
-            return _SwapPlan(node)
-        return _CallPlan(node, [compile_expr(a) for a in node.args])
-    if isinstance(node, ast.Reduction):
-        pure = not any(
-            isinstance(n, (ast.Call, ast.Assign, ast.IncDec))
-            for n in ast.walk(node)
-        )
-        arms = [
-            (
-                compile_expr(arm.pred, pure) if arm.pred is not None else None,
-                compile_expr(arm.expr, pure),
-            )
-            for arm in node.arms
-        ]
-        others = (
-            compile_expr(node.others, pure) if node.others is not None else None
-        )
-        return _ReductionPlan(node, arms, others)
-    if isinstance(node, ast.Assign):
-        return _compile_assign(node)
-    if isinstance(node, ast.IncDec):
-        one = ast.IntLit(line=node.line, col=node.col, value=1)
-        synth = ast.Assign(
-            line=node.line,
-            col=node.col,
-            target=node.target,
-            op="+" if node.op == "++" else "-",
-            value=one,
-        )
-        return _compile_assign(synth)
-    return _RaisePlan(node)
-
-
-def _compile_assign(node: ast.Assign):
-    value = compile_expr(node.value)
-    read = compile_expr(node.target) if node.op else None
-    scatter = None
-    if isinstance(node.target, ast.Index):
-        scatter = _ScatterPlan(node.target)
-    return _AssignPlan(node, value, read, scatter)
-
-
-# ---------------------------------------------------------------------------
-# statement plans
-# ---------------------------------------------------------------------------
-
-
-class _BlockPlan:
-    __slots__ = ("stmts",)
-
-    def __init__(self, stmts) -> None:
-        self.stmts = stmts
-
-    def __call__(self, ip, ctx: ExecContext) -> None:
-        inner = ctx.with_env(ctx.env.child())
-        for p in self.stmts:
-            p(ip, inner)
-
-
-class _StmtSeqPlan:
-    """DeclGroup: statements run in the *same* scope (no child env)."""
-
-    __slots__ = ("stmts",)
-
-    def __init__(self, stmts) -> None:
-        self.stmts = stmts
-
-    def __call__(self, ip, ctx: ExecContext) -> None:
-        for p in self.stmts:
-            p(ip, ctx)
-
-
-class _ExprStmtPlan:
-    __slots__ = ("expr",)
-
-    def __init__(self, expr) -> None:
-        self.expr = expr
-
-    def __call__(self, ip, ctx: ExecContext) -> None:
-        self.expr(ip, ctx)
-
-
-class _NoopPlan:
-    __slots__ = ()
-
-    def __call__(self, ip, ctx: ExecContext) -> None:
-        return None
-
-
-class _IfPlan:
-    __slots__ = ("cond", "then", "els")
-
-    def __init__(self, cond, then, els) -> None:
-        self.cond = cond
-        self.then = then
-        self.els = els
-
-    def __call__(self, ip, ctx: ExecContext) -> None:
-        cond = self.cond(ip, ctx)
-        if not isinstance(cond, np.ndarray):
-            E.charge_grid_op(ip, ctx)
-            if cond:
-                self.then(ip, ctx)
-            elif self.els is not None:
-                self.els(ip, ctx)
-            return
-        cbool = np.broadcast_to(np.asarray(E._truthy(cond)), ctx.grid.shape)
-        vps = ip.grid_vpset(ctx.grid.shape)
-        ip.machine.clock.charge("context", count=2, vp_ratio=vps.vp_ratio)
-        then_ctx = ctx.refine(cbool)
-        if np.any(then_ctx.active_mask()):
-            self.then(ip, then_ctx)
-        if self.els is not None:
-            else_ctx = ctx.refine(~cbool)
-            if np.any(else_ctx.active_mask()):
-                self.els(ip, else_ctx)
-
-
-class _FallbackStmt:
-    """Anything with its own machinery (loops, decls, nested constructs)
-    goes back through the tree-walker; nested constructs then fetch their
-    *own* plans from the cache."""
-
-    __slots__ = ("node",)
-
-    def __init__(self, node) -> None:
-        self.node = node
-
-    def __call__(self, ip, ctx: ExecContext) -> None:
-        from .statements import exec_stmt
-
-        exec_stmt(ip, self.node, ctx)
-
-
-def compile_stmt(node: ast.Stmt):
-    if isinstance(node, ast.Block):
-        return _BlockPlan([compile_stmt(s) for s in node.stmts])
-    if isinstance(node, ast.DeclGroup):
-        return _StmtSeqPlan([compile_stmt(s) for s in node.decls])
-    if isinstance(node, ast.ExprStmt):
-        return _ExprStmtPlan(compile_expr(node.expr))
-    if isinstance(node, ast.EmptyStmt):
-        return _NoopPlan()
-    if isinstance(node, ast.If):
-        return _IfPlan(
-            compile_expr(node.cond),
-            compile_stmt(node.then),
-            compile_stmt(node.els) if node.els is not None else None,
-        )
-    return _FallbackStmt(node)
-
-
-class ConstructPlan:
-    """Per-arm predicate and body plans for one par/seq/oneof statement."""
-
-    __slots__ = ("preds", "stmts", "others")
-
-    def __init__(self, preds, stmts, others) -> None:
-        self.preds = preds
-        self.stmts = stmts
-        self.others = others
-
-
-def compile_construct(stmt: ast.UCStmt) -> ConstructPlan:
-    preds = [
-        compile_expr(b.pred) if b.pred is not None else None for b in stmt.blocks
-    ]
-    stmts = [compile_stmt(b.stmt) for b in stmt.blocks]
-    others = compile_stmt(stmt.others) if stmt.others is not None else None
-    return ConstructPlan(preds, stmts, others)
-
-
-# ---------------------------------------------------------------------------
-# solve: readiness / mark-defined / per-assignment plans
-# ---------------------------------------------------------------------------
-
-
-class _ReadyTrue:
-    __slots__ = ()
-
-    def __call__(self, ip, ctx: ExecContext, defined) -> np.ndarray:
-        return np.broadcast_to(_TRUE, ctx.grid.shape)
-
-
-class _ReadyIndex(_RefPlan):
-    __slots__ = ()
-
-    def __call__(self, ip, ctx: ExecContext, defined) -> np.ndarray:
-        node = self.node
-        if node.base not in defined:
-            return np.broadcast_to(_TRUE, ctx.grid.shape)
-        flags = defined[node.base]
-        m = self._flag_map(ip, ctx, flags, write=False)
-        got = m.take(flags, view_ok=True)
-        return got if m.oob is None else got & ~m.oob
-
-
-class _ReadyAnd:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right) -> None:
-        self.left = left
-        self.right = right
-
-    def __call__(self, ip, ctx: ExecContext, defined) -> np.ndarray:
-        return self.left(ip, ctx, defined) & self.right(ip, ctx, defined)
-
-
-class _ReadyTernary:
-    __slots__ = ("cond_ready", "cond", "then_ready", "else_ready")
-
-    def __init__(self, cond_ready, cond, then_ready, else_ready) -> None:
-        self.cond_ready = cond_ready
-        self.cond = cond
-        self.then_ready = then_ready
-        self.else_ready = else_ready
-
-    def __call__(self, ip, ctx: ExecContext, defined) -> np.ndarray:
-        shape = ctx.grid.shape
-        rc = self.cond_ready(ip, ctx, defined)
-        cond = self.cond(ip, ctx)
-        cb = np.broadcast_to(np.asarray(E._truthy(cond)), shape)
-        rt = self.then_ready(ip, ctx.refine(cb), defined)
-        re_ = self.else_ready(ip, ctx.refine(~cb), defined)
-        return rc & np.where(cb, rt, re_)
-
-
-class _ReadyAll:
-    __slots__ = ("parts",)
-
-    def __init__(self, parts) -> None:
-        self.parts = parts
-
-    def __call__(self, ip, ctx: ExecContext, defined) -> np.ndarray:
-        out = np.ones(ctx.grid.shape, dtype=bool)
-        for p in self.parts:
-            out = out & p(ip, ctx, defined)
-        return out
-
-
-class _ReadyReduction:
-    __slots__ = ("node", "arms", "others")
-
-    def __init__(self, node, arms, others) -> None:
-        self.node = node
-        self.arms = arms  # [(pred_ready|None, expr_ready)]
-        self.others = others
-
-    def __call__(self, ip, ctx: ExecContext, defined) -> np.ndarray:
-        node = self.node
-        sets = [ip.resolve_index_set(name, ctx, at=node) for name in node.index_sets]
-        inner_grid = ctx.grid.extend(sets)
-        env = ctx.env.child()
-        for off, isv in enumerate(sets):
-            env.declare(
-                isv.elem_name,
-                ElementBinding(
-                    isv.elem_name, isv.name, "axis", axis=ctx.grid.rank + off
-                ),
-            )
-        mask = ctx.active_mask()
-        bmask = np.broadcast_to(
-            mask.reshape(mask.shape + (1,) * len(sets)), inner_grid.shape
-        )
-        inner = ExecContext(inner_grid, bmask, env)
-        ready = np.ones(inner_grid.shape, dtype=bool)
-        for pred_ready, expr_ready in self.arms:
-            if pred_ready is not None:
-                ready &= pred_ready(ip, inner, defined)
-            ready &= expr_ready(ip, inner, defined)
-        if self.others is not None:
-            ready &= self.others(ip, inner, defined)
-        axes = tuple(range(ctx.grid.rank, inner_grid.rank))
-        return ready.all(axis=axes)
-
-
-class _ReadyRaise:
-    __slots__ = ("node",)
-
-    def __init__(self, node) -> None:
-        self.node = node
-
-    def __call__(self, ip, ctx: ExecContext, defined) -> np.ndarray:
-        raise UCRuntimeError(
-            f"solve cannot analyse {type(self.node).__name__}",
-            self.node.line,
-            self.node.col,
-        )
-
-
-def compile_readiness(node: ast.Expr):
-    """Compile the readiness analysis of :func:`repro.interp.solve._readiness`."""
-    if isinstance(
-        node, (ast.IntLit, ast.FloatLit, ast.InfLit, ast.Name, ast.StringLit)
-    ):
-        return _ReadyTrue()
-    if isinstance(node, ast.Index):
-        return _ReadyIndex(node)
-    if isinstance(node, ast.Unary):
-        return compile_readiness(node.operand)
-    if isinstance(node, ast.Binary):
-        return _ReadyAnd(
-            compile_readiness(node.left), compile_readiness(node.right)
-        )
-    if isinstance(node, ast.Ternary):
-        return _ReadyTernary(
-            compile_readiness(node.cond),
-            compile_expr(node.cond),
-            compile_readiness(node.then),
-            compile_readiness(node.els),
-        )
-    if isinstance(node, ast.Call):
-        return _ReadyAll([compile_readiness(a) for a in node.args])
-    if isinstance(node, ast.Reduction):
-        arms = [
-            (
-                compile_readiness(arm.pred) if arm.pred is not None else None,
-                compile_readiness(arm.expr),
-            )
-            for arm in node.arms
-        ]
-        others = (
-            compile_readiness(node.others) if node.others is not None else None
-        )
-        return _ReadyReduction(node, arms, others)
-    return _ReadyRaise(node)
-
-
-class _MarkNamePlan:
-    __slots__ = ("ident",)
-
-    def __init__(self, ident: str) -> None:
-        self.ident = ident
-
-    def __call__(self, ip, ctx: ExecContext, defined) -> None:
-        mask = ctx.active_mask()
-        if np.any(mask):
-            defined[self.ident][...] = True
-
-
-class _MarkIndexPlan(_RefPlan):
-    __slots__ = ()
-
-    def __call__(self, ip, ctx: ExecContext, defined) -> None:
-        flags = defined[self.node.base]
-        m = self._flag_map(ip, ctx, flags, write=True)
-        m.store(flags, True, ctx.active_mask(), self.node)
-
-
-def _compile_mark(target: ast.Expr):
-    if isinstance(target, ast.Name):
-        return _MarkNamePlan(target.ident)
-    assert isinstance(target, ast.Index)
-    return _MarkIndexPlan(target)
-
-
-class SolveAssignPlan:
-    """Compiled pieces of one guarded-solve assignment."""
-
-    __slots__ = ("pred", "assign", "readiness", "mark")
-
-    def __init__(self, pred, assign, readiness, mark) -> None:
-        self.pred = pred
-        self.assign = assign
-        self.readiness = readiness
-        self.mark = mark
-
-
-def compile_solve_assignments(assignments) -> List[SolveAssignPlan]:
-    plans = []
-    for pred, assign in assignments:
-        plans.append(
-            SolveAssignPlan(
-                compile_expr(pred) if pred is not None else None,
-                compile_expr(assign),
-                compile_readiness(assign.value),
-                _compile_mark(assign.target),
-            )
-        )
-    return plans
-
-
-def compile_sched_steps(assignments):
-    """(pred plan | None, assign plan) per scheduled-solve assignment."""
-    return [
-        (
-            compile_expr(pred) if pred is not None else None,
-            compile_expr(assign),
-        )
-        for pred, assign in assignments
-    ]
+        if keep:
+            memo.table.put(key, m)
+    m.check(node, ctx.active_mask())
+    commtiers.charge_tier(ip, ctx, m.tier, m.rc, write=write, layout=arr.layout)
+    if ip.tier_log is not None:
+        ip.tier_log.setdefault((node.line, node.base), set()).add(m.tier)
+    return m
+
+
+def flag_map(ip, node: ast.Index, ctx, flags: np.ndarray, subs, write) -> RefMap:
+    """The map of one reference into solve's ``defined`` flags (no
+    charges, no checks: out-of-range lanes read as undefined and mark
+    clipped)."""
+    memo = ip.plan_cache.get_or_build("ref", node, None, lambda: RefMemo(node))
+    key = _memo_key(memo.names, ctx, write, flags.shape)
+    m = memo.table.get(key) if key is not None else None
+    if m is None:
+        m = ref_map(subs, flags.shape, ctx.grid.shape, write=write, memo=key is not None)
+        if key is not None:
+            memo.table.put(key, m)
+    return m
 
 
 # ---------------------------------------------------------------------------

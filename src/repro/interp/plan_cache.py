@@ -1,25 +1,25 @@
-"""LRU cache of compiled execution plans.
+"""LRU cache of per-node compiled state ("plans").
 
-A *plan* is a tree of Python closures compiled from an already
-semantically-checked AST subtree (see :mod:`repro.interp.plan`).  Plans
-carry per-node memoisation state (cached reference classifications,
-index vectors, out-of-bounds masks), so they are cached per
-``(kind, id(node), grid signature)``:
+Everything the engines derive once per AST node and reuse across
+sweeps and runs lives here, cached per ``(kind, id(node), grid
+signature)``:
 
-* ``kind`` separates the compilation entry points ("construct",
-  "solve", "sched", ..., plus "frontier" for the active-set sweep
-  analyses of :mod:`repro.interp.frontier` — those cache the compiled
-  charge entries and lane evaluators of an iterated construct, or the
-  fallback sentinel when the body is not frontier-eligible — and
-  "fuse" for the whole-array register programs of
-  :mod:`repro.interp.fuse`);
+* ``kind`` separates the entries: "ref" for the reference memos of
+  :mod:`repro.interp.plan` (an array reference's classification, tier
+  and index lowering), "pure" for whether a reduction's gathers may hand
+  out views, "frontier" for the active-set sweep analyses of
+  :mod:`repro.interp.frontier` (the compiled charge entries and lane
+  evaluators of an iterated construct, or the fallback sentinel when the
+  body is not frontier-eligible) and "fuse" for the whole-array register
+  programs of :mod:`repro.interp.fuse`;
 * ``id(node)`` identifies the AST node — each cache entry keeps a strong
   reference to the node so the id cannot be recycled while the entry is
   alive, and a hit re-checks node identity so a recycled id after an
   eviction can never resurrect a stale plan;
 * the grid signature (the tuple of :class:`~repro.interp.values.GridAxis`)
   distinguishes executions of the same construct over different index-set
-  geometries, giving each geometry its own memo state.
+  geometries, giving each geometry its own state (reference memos key
+  their entries on the grid axes themselves and use no signature).
 
 Counter semantics
 -----------------
@@ -28,8 +28,8 @@ Counter semantics
 
 * a **hit** is a lookup that found a live entry (same node identity);
 * a **miss** is a lookup that ran the build callable — every miss is
-  exactly one (re)compile, so a run whose miss delta is zero did zero
-  plan/fusion recompiles;
+  exactly one (re)build, so a run whose miss delta is zero did zero
+  memo/fusion recompiles;
 * an **eviction** is an entry dropped because the cache exceeded its
   capacity (LRU order);
 * ``build_seconds`` accumulates the wall-clock time spent inside build

@@ -159,10 +159,11 @@ class UCProgram:
         body (or repeated inside one expression) are evaluated and charged
         once.  On by default, as in the paper's compiler.
     plans:
-        Execute construct bodies as cached compiled closures instead of
-        recursive AST walks (see ``docs/PERFORMANCE.md``).  Semantics and
-        simulated clock are identical either way; set False (or export
-        ``REPRO_NO_PLANS=1``) to force the tree-walking oracle.
+        Memoise each array reference's classification and index lowering
+        across sweeps and runs (see ``docs/PERFORMANCE.md``).  Semantics
+        and simulated clock are identical either way; set False (or
+        export ``REPRO_NO_PLANS=1``) to force the memo-free tree-walking
+        oracle.
     comm_tiers:
         Dispatch each remote array reference to its cheapest communication
         tier — NEWS shift, spread, broadcast, precomputed permutation or
@@ -187,7 +188,7 @@ class UCProgram:
         Statements the pass cannot prove static run as unfused segments
         inside the fused sweep.  Results and Clock fingerprints are
         bit-identical either way; set False (or export
-        ``REPRO_NO_FUSION=1``) to restore the per-closure plan engine.
+        ``REPRO_NO_FUSION=1``) to run every construct on the walker.
     log_tiers:
         Record, per ``(line, array)`` reference site, the set of tiers
         dispatched at run time (``last_interpreter.tier_log``) — used by
@@ -237,7 +238,7 @@ class UCProgram:
         to compile through (default: the process-wide store, so repeated
         ``UCProgram`` constructions of the same source reuse the parsed
         frontend, and repeated runs under the same machine config and
-        effective engine flags reuse compiled plans, fused kernels and
+        effective engine flags reuse reference memos, fused kernels and
         frontier analyses).  Pass ``None`` for fully private per-program
         compilation (the pre-store behaviour).  Results and Clock
         fingerprints are bit-identical either way: compilation charges

@@ -16,11 +16,14 @@ ratio.
 
 :func:`try_send_reduce` returns the parent-shaped result when the pattern
 applies, or None so the caller falls back to the product-grid evaluation.
+Its static gates live in :func:`send_reduce_split`, which the fusion
+pass also asks whether the product-grid path is the one that runs.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+import math
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -89,50 +92,57 @@ def _conjuncts(expr: ast.Expr):
         yield expr
 
 
-def try_send_reduce(ip, node: ast.Reduction, ctx) -> Optional[np.ndarray]:
-    """Attempt the optimized path; None if the pattern does not apply."""
-    from .eval_expr import ExecContext, _truthy, eval_expr  # local: avoids cycle
+def send_reduce_split(
+    ip, node: ast.Reduction, grid: GridContext, sets
+) -> Optional[Tuple[ast.Expr, str, List[ast.Expr]]]:
+    """The static gates of the send-with-reduce path.
 
+    Returns the predicate's ``(address_expr, par_elem, other_clauses)``
+    split when the pattern applies to ``node`` over ``grid`` with the
+    resolved reduction ``sets``, or None when the product-grid path runs
+    whatever the activity mask is.  Pure: evaluates nothing, charges
+    nothing.
+    """
     if node.op not in _COMBINE_AT or node.others is not None or len(node.arms) != 1:
         return None
     arm = node.arms[0]
-    if arm.pred is None:
+    if arm.pred is None or grid.rank != 1:
         return None
-    if ctx.grid.is_host or ctx.grid.rank != 1:
-        return None
-    if ctx.mask is not None and not bool(np.all(ctx.mask)):
-        return None  # a partial parent context breaks the partition story
-
-    sets = [ip.resolve_index_set(name, ctx, at=node) for name in node.index_sets]
     red_elems = {s.elem_name for s in sets}
-    parent_elems = set(ctx.grid.axis_elems) - red_elems
+    parent_elems = set(grid.axis_elems) - red_elems
     if not parent_elems:
         return None
     split = _split_partition_pred(arm.pred, parent_elems, red_elems)
     if split is None:
         return None
-
     # apply only when it actually shrinks the VP requirement: a combining
     # send has a higher fixed cost than a small scan, so the compiler keeps
     # the naive form while the product grid still fits the machine
-    import math
-
     n_pes = ip.machine.config.n_pes
-    product_vps = ctx.grid.size
-    for s in sets:
-        product_vps *= len(s)
     operand_vps = 1
     for s in sets:
         operand_vps *= len(s)
-    ratio_naive = max(1, math.ceil(product_vps / n_pes))
-    ratio_opt = max(1, math.ceil(max(operand_vps, ctx.grid.size) / n_pes))
+    ratio_naive = max(1, math.ceil(grid.size * operand_vps / n_pes))
+    ratio_opt = max(1, math.ceil(max(operand_vps, grid.size) / n_pes))
     if ratio_naive <= ratio_opt:
         return None
-    address_expr, par_elem, rest_clauses = split
-    if par_elem != ctx.grid.axes[0].elem:
+    if split[1] != grid.axes[0].elem or _free_names(arm.expr) & parent_elems:
         return None
-    if _free_names(arm.expr) & parent_elems:
+    return split
+
+
+def try_send_reduce(ip, node: ast.Reduction, ctx, sets) -> Optional[np.ndarray]:
+    """Attempt the optimized path over the resolved reduction ``sets``;
+    None if the pattern does not apply."""
+    from .eval_expr import ExecContext, _truthy, eval_expr  # local: avoids cycle
+
+    split = send_reduce_split(ip, node, ctx.grid, sets)
+    if split is None:
         return None
+    if ctx.mask is not None and not bool(np.all(ctx.mask)):
+        return None  # a partial parent context breaks the partition story
+    address_expr, _par_elem, rest_clauses = split
+    arm = node.arms[0]
 
     # operand grid: the reduction sets alone
     operand_grid = GridContext().extend(sets)

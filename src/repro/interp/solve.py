@@ -25,16 +25,9 @@ import numpy as np
 
 from ..lang import ast
 from ..lang.errors import UCRuntimeError
-from . import frontier
-from .env import Env
+from . import frontier, plan
 from .eval_expr import ExecContext, _truthy, eval_expr
-from .plan import compile_solve_assignments
-from .statements import (
-    _plans_for,
-    _run_blocks_once,
-    enter_grid,
-    exec_stmt,
-)
+from .statements import _run_blocks_once, enter_grid
 from .values import ArrayVar, ElementBinding, ParallelLocal, ScalarVar
 
 
@@ -131,15 +124,6 @@ def _exec_solve_guarded(
     done = [np.zeros(inner.grid.shape, dtype=bool) for _ in assignments]
     vps = ip.grid_vpset(inner.grid.shape)
 
-    plans = None
-    if getattr(ip, "plans_enabled", False):
-        plans = ip.plan_cache.get_or_build(
-            "solve",
-            stmt,
-            inner.grid.axes,
-            lambda: compile_solve_assignments(assignments),
-        )
-
     # frontier worklist: a lane's readiness (or predicate) can only have
     # changed if something newly defined since last sweep reaches it
     # through one of the assignment's affine references into the targets
@@ -164,7 +148,6 @@ def _exec_solve_guarded(
         progress = False
         pending = False
         for k, (pred, assign) in enumerate(assignments):
-            ap = plans[k] if plans is not None else None
             if newly is not None and enabled_cache[k] is not None:
                 # nothing newly defined reaches this assignment: its
                 # predicate, readiness and values are all unchanged, so
@@ -177,37 +160,23 @@ def _exec_solve_guarded(
                     continue
             enabled = base.copy()
             if pred is not None:
-                if ap is not None:
-                    pv = ap.pred(ip, inner)
-                else:
-                    pv = eval_expr(ip, pred, inner)
+                pv = eval_expr(ip, pred, inner)
                 enabled &= np.broadcast_to(np.asarray(_truthy(pv)), inner.grid.shape)
             enabled_cache[k] = enabled
             remaining = enabled & ~done[k]
             if not np.any(remaining):
                 continue
-            rctx = inner.with_mask(remaining)
-            if ap is not None:
-                ready = ap.readiness(ip, rctx, defined)
-            else:
-                ready = _readiness(ip, assign.value, rctx, defined)
-            ready = remaining & ready
+            ready = remaining & _readiness(
+                ip, assign.value, inner.with_mask(remaining), defined
+            )
             if np.any(remaining & ~ready):
                 pending = True
             if not np.any(ready):
                 continue
             progress = True
             sub = inner.with_mask(ready)
-            if ap is not None:
-                ap.assign(ip, sub)
-                ap.mark(ip, sub, defined)
-            else:
-                exec_stmt(
-                    ip,
-                    ast.ExprStmt(line=assign.line, col=assign.col, expr=assign),
-                    sub,
-                )
-                _mark_defined(ip, assign.target, sub, defined)
+            eval_expr(ip, assign, sub)
+            _mark_defined(ip, assign.target, sub, defined)
             done[k] |= ready
             if newly is not None:
                 # make intra-sweep definitions visible to the remaining
@@ -246,6 +215,11 @@ def _mark_defined(ip, target: ast.Expr, ctx: ExecContext, defined: Dict[str, np.
     assert isinstance(target, ast.Index)
     flags = defined[target.base]
     subs = [eval_expr(ip, s, ctx) for s in target.subs]
+    if ip.plans_enabled:
+        plan.flag_map(ip, target, ctx, flags, subs, True).store(
+            flags, True, mask, target
+        )
+        return
     idx = []
     for a, s in enumerate(subs):
         if isinstance(s, np.ndarray):
@@ -263,14 +237,17 @@ def _readiness(
     branches are clipped (the conditional readiness formula discards
     them), matching the masked execution that follows."""
     shape = ctx.grid.shape
-    true = np.ones(shape, dtype=bool)
     if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.InfLit, ast.Name, ast.StringLit)):
-        return true
+        return np.ones(shape, dtype=bool)
     if isinstance(expr, ast.Index):
         if expr.base not in defined:
-            return true
+            return np.ones(shape, dtype=bool)
         flags = defined[expr.base]
         subs = [eval_expr(ip, s, ctx) for s in expr.subs]
+        if ip.plans_enabled:
+            m = plan.flag_map(ip, expr, ctx, flags, subs, False)
+            got = m.take(flags, view_ok=True)
+            return got if m.oob is None else got & ~m.oob
         idx = []
         oob = np.zeros(shape, dtype=bool)
         for a, s in enumerate(subs):
@@ -293,7 +270,7 @@ def _readiness(
         re_ = _readiness(ip, expr.els, ctx.refine(~cb), defined)
         return rc & np.where(cb, rt, re_)
     if isinstance(expr, ast.Call):
-        out = true
+        out = np.ones(shape, dtype=bool)
         for a in expr.args:
             out = out & _readiness(ip, a, ctx, defined)
         return out
@@ -330,14 +307,13 @@ def _readiness(
 
 def _exec_solve_star(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     inner = enter_grid(ip, stmt, ctx)
-    plans = _plans_for(ip, stmt, inner.grid)
     vps = ip.grid_vpset(inner.grid.shape)
     sess = frontier.star_session(ip, stmt, inner, "solve")
-    solve_star_sweeps(ip, stmt, inner, plans, sess, vps.vp_ratio)
+    solve_star_sweeps(ip, stmt, inner, sess, vps.vp_ratio)
 
 
 def solve_star_sweeps(
-    ip, stmt: ast.UCStmt, inner, plans, sess, vp_ratio: int, *, sweeps=0, states=None
+    ip, stmt: ast.UCStmt, inner, sess, vp_ratio: int, *, sweeps=0, states=None
 ) -> None:
     """The ``*solve`` sweep loop, from sweep number ``sweeps`` on.
 
@@ -369,7 +345,7 @@ def solve_star_sweeps(
             # the compiler saves intermediate state each sweep to detect the
             # fixed point — charge one extra ALU pass for the temporaries (§3.6)
             ip.machine.clock.charge("alu", count=len(modified) or 1, vp_ratio=vp_ratio)
-            _run_blocks_once(ip, stmt, inner, plans)
+            _run_blocks_once(ip, stmt, inner)
             ip.machine.clock.charge("global_or", vp_ratio=vp_ratio)
             ip.machine.clock.charge("host_cm_latency")
             after = _snapshot(inner, modified)

@@ -17,8 +17,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..lang import ast
-from ..lang.errors import UCRuntimeError, UCSemanticError
-from .env import Env
+from ..lang.errors import UCRuntimeError
 from .eval_expr import (
     ExecContext,
     Value,
@@ -26,30 +25,13 @@ from .eval_expr import (
     charge_grid_op,
     eval_expr,
 )
-from .plan import ConstructPlan, compile_construct
 from .values import (
-    ArrayVar,
     ElementBinding,
-    GridContext,
     ParallelLocal,
     ScalarVar,
     coerce_scalar,
     numpy_ctype,
 )
-
-
-def _plans_for(ip, stmt: ast.UCStmt, grid: GridContext) -> Optional[ConstructPlan]:
-    """Cached :class:`ConstructPlan` for this construct on this grid.
-
-    Returns None when plan execution is disabled (``plans=False`` or
-    ``REPRO_NO_PLANS``), which sends every caller down the tree-walking
-    path unchanged.
-    """
-    if not getattr(ip, "plans_enabled", False):
-        return None
-    return ip.plan_cache.get_or_build(
-        "construct", stmt, grid.axes, lambda: compile_construct(stmt)
-    )
 
 
 class ReturnSignal(Exception):
@@ -72,62 +54,63 @@ MAX_SWEEPS = 100_000
 
 
 def exec_stmt(ip, stmt: ast.Stmt, ctx: ExecContext) -> None:
-    if isinstance(stmt, ast.Block):
-        inner = ctx.with_env(ctx.env.child())
-        for s in stmt.stmts:
-            exec_stmt(ip, s, inner)
-        return
-    if isinstance(stmt, ast.DeclGroup):
-        for s in stmt.decls:
-            exec_stmt(ip, s, ctx)
-        return
-    if isinstance(stmt, ast.ExprStmt):
-        eval_expr(ip, stmt.expr, ctx)
-        return
-    if isinstance(stmt, ast.EmptyStmt):
-        return
-    if isinstance(stmt, ast.VarDecl):
-        _exec_var_decl(ip, stmt, ctx)
-        return
-    if isinstance(stmt, ast.IndexSetDecl):
-        ip.declare_index_set(stmt, ctx.env)
-        return
-    if isinstance(stmt, ast.If):
-        _exec_if(ip, stmt, ctx)
-        return
-    if isinstance(stmt, ast.While):
-        _exec_while(ip, stmt, ctx)
-        return
-    if isinstance(stmt, ast.DoWhile):
-        _exec_do_while(ip, stmt, ctx)
-        return
-    if isinstance(stmt, ast.For):
-        _exec_for(ip, stmt, ctx)
-        return
-    if isinstance(stmt, ast.Return):
-        value = eval_expr(ip, stmt.value, ctx) if stmt.value is not None else None
-        raise ReturnSignal(value)
-    if isinstance(stmt, ast.Break):
-        raise BreakSignal()
-    if isinstance(stmt, ast.Continue):
-        raise ContinueSignal()
-    if isinstance(stmt, ast.UCStmt):
-        # deadline poll at the entry of each *outermost* construct: a
-        # safe cancellation point (no sweep in flight, no element bound)
-        if ip.current_construct is None:
-            ip.poll_boundary(stmt)
-        # a nested construct rebinds elements: run it outside any armed
-        # CSE cache (it arms its own) and drop stale entries afterwards
-        with ip.cse_suspend():
-            recovery = getattr(ip, "recovery", None)
-            if recovery is not None and recovery.wants(stmt):
-                recovery.run_protected(ip, stmt, ctx)
-            else:
-                dispatch_construct(ip, stmt, ctx)
-        return
-    raise UCRuntimeError(
-        f"cannot execute {type(stmt).__name__}", stmt.line, stmt.col
-    )
+    ex = _EXEC.get(type(stmt))
+    if ex is None:
+        raise UCRuntimeError(
+            f"cannot execute {type(stmt).__name__}", stmt.line, stmt.col
+        )
+    ex(ip, stmt, ctx)
+
+
+def _exec_block(ip, stmt: ast.Block, ctx: ExecContext) -> None:
+    inner = ctx.with_env(ctx.env.child())
+    for s in stmt.stmts:
+        exec_stmt(ip, s, inner)
+
+
+def _exec_decl_group(ip, stmt: ast.DeclGroup, ctx: ExecContext) -> None:
+    for s in stmt.decls:
+        exec_stmt(ip, s, ctx)
+
+
+def _exec_expr_stmt(ip, stmt: ast.ExprStmt, ctx: ExecContext) -> None:
+    eval_expr(ip, stmt.expr, ctx)
+
+
+def _exec_empty(ip, stmt: ast.EmptyStmt, ctx: ExecContext) -> None:
+    return None
+
+
+def _exec_index_set_decl(ip, stmt: ast.IndexSetDecl, ctx: ExecContext) -> None:
+    ip.declare_index_set(stmt, ctx.env)
+
+
+def _exec_return(ip, stmt: ast.Return, ctx: ExecContext) -> None:
+    value = eval_expr(ip, stmt.value, ctx) if stmt.value is not None else None
+    raise ReturnSignal(value)
+
+
+def _exec_break(ip, stmt: ast.Break, ctx: ExecContext) -> None:
+    raise BreakSignal()
+
+
+def _exec_continue(ip, stmt: ast.Continue, ctx: ExecContext) -> None:
+    raise ContinueSignal()
+
+
+def _exec_construct(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
+    # deadline poll at the entry of each *outermost* construct: a
+    # safe cancellation point (no sweep in flight, no element bound)
+    if ip.current_construct is None:
+        ip.poll_boundary(stmt)
+    # a nested construct rebinds elements: run it outside any armed
+    # CSE cache (it arms its own) and drop stale entries afterwards
+    with ip.cse_suspend():
+        recovery = getattr(ip, "recovery", None)
+        if recovery is not None and recovery.wants(stmt):
+            recovery.run_protected(ip, stmt, ctx)
+        else:
+            dispatch_construct(ip, stmt, ctx)
 
 
 def dispatch_construct(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
@@ -318,23 +301,17 @@ def bind_grid(ip, stmt: ast.UCStmt, ctx: ExecContext) -> ExecContext:
 
 
 def _block_masks(
-    ip,
-    stmt: ast.UCStmt,
-    inner: ExecContext,
-    plans: Optional[ConstructPlan] = None,
+    ip, stmt: ast.UCStmt, inner: ExecContext
 ) -> Tuple[List[np.ndarray], Optional[np.ndarray]]:
     """Evaluate arm predicates; returns per-arm masks and the union."""
     base = inner.active_mask()
     masks: List[np.ndarray] = []
     union: Optional[np.ndarray] = None
-    for k, block in enumerate(stmt.blocks):
+    for block in stmt.blocks:
         if block.pred is None:
             masks.append(base)
         else:
-            if plans is not None:
-                pv = plans.preds[k](ip, inner)
-            else:
-                pv = eval_expr(ip, block.pred, inner)
+            pv = eval_expr(ip, block.pred, inner)
             pb = np.broadcast_to(np.asarray(_truthy(pv)), inner.grid.shape)
             m = base & pb
             masks.append(m)
@@ -342,12 +319,7 @@ def _block_masks(
     return masks, union
 
 
-def _run_blocks_once(
-    ip,
-    stmt: ast.UCStmt,
-    inner: ExecContext,
-    plans: Optional[ConstructPlan] = None,
-) -> bool:
+def _run_blocks_once(ip, stmt: ast.UCStmt, inner: ExecContext) -> bool:
     """One synchronous execution of all arms; returns whether any lane ran.
 
     The CSE cache is armed for the duration: a predicate and its arm's
@@ -356,21 +328,17 @@ def _run_blocks_once(
     """
     from . import fuse
 
-    fused = fuse.fused_for(ip, stmt, inner, plans)
+    fused = fuse.fused_for(ip, stmt, inner)
     with ip.cse_arm():
         if fused is not None:
             sweep = fused.begin_sweep(ip, inner)
             return fused.run_body(ip, inner, sweep)
-        masks, union = _block_masks(ip, stmt, inner, plans)
+        masks, union = _block_masks(ip, stmt, inner)
         ran = False
-        for k, (block, mask) in enumerate(zip(stmt.blocks, masks)):
+        for block, mask in zip(stmt.blocks, masks):
             if np.any(mask):
                 ran = True
-                sub = inner.with_mask(mask)
-                if plans is not None:
-                    plans.stmts[k](ip, sub)
-                else:
-                    exec_stmt(ip, block.stmt, sub)
+                exec_stmt(ip, block.stmt, inner.with_mask(mask))
         if stmt.others is not None:
             base = inner.active_mask()
             om = base & (
@@ -378,30 +346,25 @@ def _run_blocks_once(
             )
             if np.any(om):
                 ran = True
-                sub = inner.with_mask(om)
-                if plans is not None:
-                    plans.others(ip, sub)
-                else:
-                    exec_stmt(ip, stmt.others, sub)
+                exec_stmt(ip, stmt.others, inner.with_mask(om))
         return ran
 
 
 def exec_par(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     inner = enter_grid(ip, stmt, ctx)
-    plans = _plans_for(ip, stmt, inner.grid)
     if not stmt.star:
-        _run_blocks_once(ip, stmt, inner, plans)
+        _run_blocks_once(ip, stmt, inner)
         return
     _check_starred(stmt)
     from . import frontier
 
     sess = frontier.star_session(ip, stmt, inner, "par")
     vps = ip.grid_vpset(inner.grid.shape)
-    par_star_sweeps(ip, stmt, inner, plans, sess, vps.vp_ratio)
+    par_star_sweeps(ip, stmt, inner, sess, vps.vp_ratio)
 
 
 def par_star_sweeps(
-    ip, stmt: ast.UCStmt, inner, plans, sess, vp_ratio: int, *, sweeps=0, states=None
+    ip, stmt: ast.UCStmt, inner, sess, vp_ratio: int, *, sweeps=0, states=None
 ) -> None:
     """The ``*par`` sweep loop, from sweep number ``sweeps`` on.
 
@@ -426,13 +389,13 @@ def par_star_sweeps(
         else:
             if sess is not None:
                 sess.full_begin()
-            fused = fuse.fused_for(ip, stmt, inner, plans)
+            fused = fuse.fused_for(ip, stmt, inner)
             with ip.cse_arm():
                 if fused is not None:
                     sweep = fused.begin_sweep(ip, inner)
                     masks = sweep.masks
                 else:
-                    masks, _ = _block_masks(ip, stmt, inner, plans)
+                    masks, _ = _block_masks(ip, stmt, inner)
                 ip.machine.clock.charge("global_or", vp_ratio=vp_ratio)
                 ip.machine.clock.charge("host_cm_latency")
                 if not any(np.any(m) for m in masks):
@@ -440,13 +403,9 @@ def par_star_sweeps(
                 if fused is not None:
                     fused.run_body(ip, inner, sweep)
                 else:
-                    for k, (block, mask) in enumerate(zip(stmt.blocks, masks)):
+                    for block, mask in zip(stmt.blocks, masks):
                         if np.any(mask):
-                            sub = inner.with_mask(mask)
-                            if plans is not None:
-                                plans.stmts[k](ip, sub)
-                            else:
-                                exec_stmt(ip, block.stmt, sub)
+                            exec_stmt(ip, block.stmt, inner.with_mask(mask))
             if sess is not None:
                 sess.full_end()
                 sess.note_par_masks(masks)
@@ -480,10 +439,9 @@ def _check_starred(stmt: ast.UCStmt) -> None:
 
 def exec_seq(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     sets = [ip.resolve_index_set(name, ctx, at=stmt) for name in stmt.index_sets]
-    plans = _plans_for(ip, stmt, ctx.grid)
     sweeps = 0
     while True:
-        any_ran = _seq_sweep(ip, stmt, sets, ctx, plans)
+        any_ran = _seq_sweep(ip, stmt, sets, ctx)
         if not stmt.star or not any_ran:
             return
         sweeps += 1
@@ -491,13 +449,7 @@ def exec_seq(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
             raise UCRuntimeError("*seq exceeded the sweep limit", stmt.line, stmt.col)
 
 
-def _seq_sweep(
-    ip,
-    stmt: ast.UCStmt,
-    sets,
-    ctx: ExecContext,
-    plans: Optional[ConstructPlan] = None,
-) -> bool:
+def _seq_sweep(ip, stmt: ast.UCStmt, sets, ctx: ExecContext) -> bool:
     any_ran = False
     for combo in itertools.product(*[s.values for s in sets]):
         # each iteration rebinds the loop elements: stale CSE entries
@@ -518,53 +470,32 @@ def _seq_sweep(
 
         union_scalar_true = False
         union_mask: Optional[np.ndarray] = None
-        for k, block in enumerate(stmt.blocks):
-            run = plans.stmts[k] if plans is not None else None
+        for block in stmt.blocks:
             if block.pred is None:
-                if run is not None:
-                    run(ip, iter_ctx)
-                else:
-                    exec_stmt(ip, block.stmt, iter_ctx)
+                exec_stmt(ip, block.stmt, iter_ctx)
                 any_ran = True
                 union_scalar_true = True
                 continue
-            if plans is not None:
-                pv = plans.preds[k](ip, iter_ctx)
-            else:
-                pv = eval_expr(ip, block.pred, iter_ctx)
+            pv = eval_expr(ip, block.pred, iter_ctx)
             if isinstance(pv, np.ndarray):
                 pb = np.broadcast_to(pv.astype(bool), ctx.grid.shape)
                 union_mask = pb if union_mask is None else (union_mask | pb)
                 sub = iter_ctx.refine(pb)
                 if np.any(sub.active_mask()):
-                    if run is not None:
-                        run(ip, sub)
-                    else:
-                        exec_stmt(ip, block.stmt, sub)
+                    exec_stmt(ip, block.stmt, sub)
                     any_ran = True
-            else:
-                if pv:
-                    union_scalar_true = True
-                    if run is not None:
-                        run(ip, iter_ctx)
-                    else:
-                        exec_stmt(ip, block.stmt, iter_ctx)
-                    any_ran = True
+            elif pv:
+                union_scalar_true = True
+                exec_stmt(ip, block.stmt, iter_ctx)
+                any_ran = True
         if stmt.others is not None:
-            run = plans.others if plans is not None else None
             if union_mask is not None:
                 sub = iter_ctx.refine(~union_mask)
                 if np.any(sub.active_mask()):
-                    if run is not None:
-                        run(ip, sub)
-                    else:
-                        exec_stmt(ip, stmt.others, sub)
+                    exec_stmt(ip, stmt.others, sub)
                     any_ran = True
             elif not union_scalar_true:
-                if run is not None:
-                    run(ip, iter_ctx)
-                else:
-                    exec_stmt(ip, stmt.others, iter_ctx)
+                exec_stmt(ip, stmt.others, iter_ctx)
                 any_ran = True
     return any_ran
 
@@ -576,41 +507,30 @@ def _seq_sweep(
 
 def exec_oneof(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     inner = enter_grid(ip, stmt, ctx)
-    plans = _plans_for(ip, stmt, inner.grid)
     vps = ip.grid_vpset(inner.grid.shape)
     if not stmt.star:
-        _oneof_once(ip, stmt, inner, plans)
+        _oneof_once(ip, stmt, inner)
         return
     _check_starred(stmt)
     sweeps = 0
     while True:
         ip.machine.clock.charge("global_or", vp_ratio=vps.vp_ratio)
         ip.machine.clock.charge("host_cm_latency")
-        if not _oneof_once(ip, stmt, inner, plans):
+        if not _oneof_once(ip, stmt, inner):
             return
         sweeps += 1
         if sweeps > MAX_SWEEPS:
             raise UCRuntimeError("*oneof exceeded the sweep limit", stmt.line, stmt.col)
 
 
-def _oneof_once(
-    ip,
-    stmt: ast.UCStmt,
-    inner: ExecContext,
-    plans: Optional[ConstructPlan] = None,
-) -> bool:
+def _oneof_once(ip, stmt: ast.UCStmt, inner: ExecContext) -> bool:
     """Execute one enabled arm (chosen by the machine RNG); True if any ran."""
     with ip.cse_arm():
-        return _oneof_once_armed(ip, stmt, inner, plans)
+        return _oneof_once_armed(ip, stmt, inner)
 
 
-def _oneof_once_armed(
-    ip,
-    stmt: ast.UCStmt,
-    inner: ExecContext,
-    plans: Optional[ConstructPlan] = None,
-) -> bool:
-    masks, union = _block_masks(ip, stmt, inner, plans)
+def _oneof_once_armed(ip, stmt: ast.UCStmt, inner: ExecContext) -> bool:
+    masks, union = _block_masks(ip, stmt, inner)
     enabled = [k for k, m in enumerate(masks) if np.any(m)]
     others_mask: Optional[np.ndarray] = None
     if stmt.others is not None:
@@ -625,14 +545,26 @@ def _oneof_once_armed(
     pick = enabled[int(ip.rng.integers(0, len(enabled)))]
     if pick == -1:
         assert others_mask is not None
-        if plans is not None:
-            plans.others(ip, inner.with_mask(others_mask))
-        else:
-            exec_stmt(ip, stmt.others, inner.with_mask(others_mask))
+        exec_stmt(ip, stmt.others, inner.with_mask(others_mask))
     else:
-        sub = inner.with_mask(masks[pick])
-        if plans is not None:
-            plans.stmts[pick](ip, sub)
-        else:
-            exec_stmt(ip, stmt.blocks[pick].stmt, sub)
+        exec_stmt(ip, stmt.blocks[pick].stmt, inner.with_mask(masks[pick]))
     return True
+
+
+#: the walker's dispatch: one executor per statement node type
+_EXEC = {
+    ast.Block: _exec_block,
+    ast.DeclGroup: _exec_decl_group,
+    ast.ExprStmt: _exec_expr_stmt,
+    ast.EmptyStmt: _exec_empty,
+    ast.VarDecl: _exec_var_decl,
+    ast.IndexSetDecl: _exec_index_set_decl,
+    ast.If: _exec_if,
+    ast.While: _exec_while,
+    ast.DoWhile: _exec_do_while,
+    ast.For: _exec_for,
+    ast.Return: _exec_return,
+    ast.Break: _exec_break,
+    ast.Continue: _exec_continue,
+    ast.UCStmt: _exec_construct,
+}

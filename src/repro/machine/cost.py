@@ -232,8 +232,8 @@ class Clock:
         (kind, count, time) line, sorted by kind.
 
         Two executions took the same simulated path iff their fingerprints
-        are equal — the differential tests use this to hold the compiled
-        plan engine to the tree-walker's exact charge sequence.
+        are equal — the differential tests use this to hold the memoised
+        walker and the fused kernels to the oracle's exact charge sequence.
         """
         lines = tuple(
             (kind, rec.count, rec.time_us)

@@ -9,7 +9,7 @@ two event streams:
   <repro.machine.cost.Clock.charge>` call reports its cost kind
   (``"alu"``, ``"router_send"``, ``"news"``, ...) through a hook the
   machine installs only when a plan is present.  Because the
-  tree-walking oracle and the compiled-plan engine produce bit-identical
+  memo-free oracle and the memoised walker produce bit-identical
   charge sequences, a charge-stream trigger fires at exactly the same
   point of the computation in both engines — this is what makes fault
   runs reproducible and engine-comparable.

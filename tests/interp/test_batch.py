@@ -239,7 +239,8 @@ class TestFallbacks:
         ]
         _assert_lanes_match(solo, batch, ["dist"])
         assert not entered, "sharded programs must not enter the lane engine"
-        assert all(r.shards.get("n_shards") == 2 for r in batch)
+        # REPRO_SHARDS overrides shards=2 (the documented precedence)
+        assert all(r.shards.get("n_shards") == prog.effective_shards() for r in batch)
 
     def test_lane_error_matches_solo_error(self):
         src = (

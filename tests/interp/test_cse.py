@@ -210,3 +210,48 @@ class TestTargetedInvalidation:
         assert np.array_equal(keep["d"], clobber["d"])
         # the clobbering variant must recompute the multiply
         assert keep.counts["alu"] < clobber.counts["alu"]
+
+
+class TestCachedValuesAreMaterialised:
+    """The CSE cache holds materialised values.  Memoised gathers inside
+    a pure reduction hand out readonly broadcast views of a take recipe;
+    ``_cse_store`` must copy them, so no cached value is a readonly view
+    or shares memory with a machine field a later write could change."""
+
+    SRC = """
+    index_set I:i = {0..7}, J:j = I, K:k = I, L:l = {0..2};
+    int d[8][8], e[8][8];
+    main {
+        seq (L) {
+            par (I, J) d[i][j] = $<(K; d[i][k] + d[k][j]);
+            par (I, J) st (i > 0) e[i][j] = d[i-1][j] + $+(K; d[i][k]);
+        }
+    }
+    """
+
+    def test_no_cached_value_is_a_view(self, monkeypatch):
+        from repro.algorithms import random_distance_matrix
+        from repro.interp import interpreter
+
+        monkeypatch.delenv("REPRO_NO_PLANS", raising=False)
+        monkeypatch.delenv("REPRO_NO_COMM_TIERS", raising=False)
+        cached = []
+        real_exit = interpreter._CseRegion.__exit__
+
+        def exit_(region, *exc):
+            if region._ip.cse_cache:
+                cached.extend(v for v, _mask in region._ip.cse_cache.values())
+            return real_exit(region, *exc)
+
+        monkeypatch.setattr(interpreter._CseRegion, "__exit__", exit_)
+        prog = UCProgram(self.SRC, plans=True, fusion=False, compile_store=None)
+        prog.run({"d": random_distance_matrix(8, seed=4)})
+        ip = prog.last_interpreter
+        # d[i-1][j] went through a memoised NEWS shift
+        assert ip.machine.clock.tier_counts.get("news")
+        fields = [ip.global_env.lookup(name).data for name in ("d", "e")]
+        arrays = [v for v in cached if isinstance(v, np.ndarray)]
+        assert arrays
+        for v in arrays:
+            assert v.flags.writeable
+            assert not any(np.shares_memory(v, f) for f in fields)

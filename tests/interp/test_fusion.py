@@ -5,11 +5,11 @@ statement sequence into whole-array register programs whose Clock cost
 comes from a precomputed static charge table.  Its contract is strict:
 results AND Clock fingerprints are bit-identical across every
 engine x frontier x fusion combination; statements the pass cannot prove
-static run as unfused plan segments inside the fused sweep; an armed
+static run as unfused segments on the walker inside the fused sweep; an armed
 FaultPlan disables fusion entirely (fault triggers count individual
 charges, which a table replay would reorder mid-sweep); and
-``REPRO_NO_FUSION=1`` / ``UCProgram(fusion=False)`` restores the
-per-closure plan engine exactly.
+``REPRO_NO_FUSION=1`` / ``UCProgram(fusion=False)`` runs every construct
+on the walker, exactly.
 """
 
 import numpy as np
@@ -63,7 +63,7 @@ main {
 """
 
 #: a user function call splits the body into fused / unfused / fused
-#: segments (calls run as interpreted plan closures, never as kernels);
+#: segments (calls run on the walker, never as kernels);
 #: the call statement shares no cacheable text with the fused ones, so
 #: the one-cache-world overlap check lets the construct segment instead
 #: of bailing

@@ -16,7 +16,7 @@ import pytest
 from repro.algorithms.shortest_path import random_distance_matrix
 from repro.bench import workloads as W
 from repro.bench.workloads import log2_ceil
-from repro.interp import eval_expr, functions, fuse, plan
+from repro.interp import eval_expr, fuse, plan
 from repro.interp.compile_store import CompileStore
 from repro.interp.plan_cache import PlanCache
 from repro.interp.program import UCProgram
@@ -410,8 +410,8 @@ SWAP_X = np.random.default_rng(4).permutation(16)
 
 
 class TestCompiledSwap:
-    """swap() runs as compiled gathers and scatters, indistinguishable
-    from the tree oracle's functions._builtin_swap."""
+    """swap() runs through memoised gathers and scatters, indistinguishable
+    from the memo-free walker's."""
 
     @pytest.mark.parametrize("src", [W.ODDEVEN_UC, SWAP_SORT], ids=["oneof", "seqpar"])
     @pytest.mark.parametrize(
@@ -422,16 +422,17 @@ class TestCompiledSwap:
     def test_parity(self, src, kw):
         assert_identical(src, {"N": 16}, {"x": SWAP_X}, **kw)
 
-    def test_plans_skip_the_tree_builtin(self, monkeypatch):
+    def test_warm_swap_classifies_nothing(self, monkeypatch):
+        """A swap's references memoise like any other: a warm run of a
+        seq/par swap sort through a shared store classifies nothing."""
         monkeypatch.delenv("REPRO_NO_PLANS", raising=False)
-        calls = []
-        real = functions._builtin_swap
-        monkeypatch.setattr(
-            functions, "_builtin_swap", lambda *a: calls.append(1) or real(*a)
-        )
-        res = UCProgram(W.ODDEVEN_UC, defines={"N": 16}).run({"x": SWAP_X})
+        monkeypatch.delenv("REPRO_NO_COMM_TIERS", raising=False)
+        prog = UCProgram(SWAP_SORT, defines={"N": 16}, compile_store=CompileStore())
+        prog.run({"x": SWAP_X})
+        calls = count_classifications(monkeypatch)
+        res = prog.run({"x": SWAP_X[::-1].copy()})
         assert list(res["x"]) == sorted(SWAP_X)
-        assert calls == []
+        assert calls["n"] == 0
 
     def test_sanitizer_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
